@@ -293,7 +293,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	fmt.Fprintln(out, res)
 	if *stats {
 		fmt.Fprintln(out, "solver:", res.Stats)
-		fmt.Fprintln(out, "phases:", res.Phases)
+		fmt.Fprintln(out, "phases:", phasesLine(res))
 	}
 	if vectors != nil {
 		fmt.Fprintf(out, "threat vectors (%d):\n", len(vectors))
@@ -333,6 +333,18 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(out, "maximum resiliency: %d IED-only failures, %d RTU-only failures\n", mi, mr)
 	}
 	return nil
+}
+
+// phasesLine renders a result's -stats phase breakdown. A certified
+// result adds the certification audit time and the size of the checked
+// derivation (Result.Audit, Result.ProofClauses), which lie outside the
+// phases.
+func phasesLine(res *core.Result) string {
+	s := res.Phases.String()
+	if res.Certified {
+		s += fmt.Sprintf(" audit=%.2fms proof=%d", float64(res.Audit.Microseconds())/1000, res.ProofClauses)
+	}
+	return s
 }
 
 // openEnumerateCheckpoint opens (or disables, for an empty path) the
@@ -421,7 +433,7 @@ func runSweep(out io.Writer, cfg *scadanet.Config, analyzer *core.Analyzer, prop
 		fmt.Fprintln(out, res)
 		if stats {
 			fmt.Fprintln(out, "  solver:", res.Stats)
-			fmt.Fprintln(out, "  phases:", res.Phases)
+			fmt.Fprintln(out, "  phases:", phasesLine(res))
 		}
 	}
 	if failed > 0 {

@@ -220,6 +220,41 @@ func TestRunObservabilityOutputs(t *testing.T) {
 	}
 }
 
+// TestRunCertifyStatsPhases: on certified results the -stats phases line
+// also reports the audit time and the checked proof size, for a single
+// verification and for every line of a sweep.
+func TestRunCertifyStatsPhases(t *testing.T) {
+	for _, args := range [][]string{
+		{"-config", configPath, "-certify", "-stats"},
+		{"-config", configPath, "-certify", "-stats", "-sweep", "2"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		phases := 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if !strings.Contains(line, "phases:") {
+				continue
+			}
+			phases++
+			if !strings.Contains(line, " audit=") || !strings.Contains(line, "ms proof=") {
+				t.Fatalf("%v: phases line lacks audit/proof: %q", args, line)
+			}
+		}
+		if phases == 0 {
+			t.Fatalf("%v: no phases line:\n%s", args, sb.String())
+		}
+	}
+	var sb strings.Builder
+	if err := run([]string{"-config", configPath, "-stats"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "audit=") {
+		t.Fatalf("uncertified phases line reports an audit:\n%s", sb.String())
+	}
+}
+
 // TestRunMetricsJSONAndSweepPhases covers the .json metrics branch and
 // the per-phase lines of a -stats sweep.
 func TestRunMetricsJSONAndSweepPhases(t *testing.T) {

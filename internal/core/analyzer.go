@@ -224,8 +224,10 @@ type Result struct {
 	// CertifyError then records the divergence (and the quarantine's
 	// own failure, if any). ProofClauses counts derived clause
 	// additions the checker accepted on this query's solver (cumulative
-	// across a Sweep's shared solver); Audit is the certification
-	// overhead, outside the solve phase.
+	// across a Sweep's shared solver; on a cached snapshot it includes
+	// the snapshot's prelude, so it is the size of the whole checked
+	// derivation); Audit is the certification overhead, outside the
+	// solve phase.
 	Certified    bool          `json:"certified,omitempty"`
 	Quarantined  bool          `json:"quarantined,omitempty"`
 	CertifyError string        `json:"certifyError,omitempty"`
@@ -483,15 +485,12 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 
 	var ph PhaseTimes
 	var enc *logic.Encoder
-	var built bool
+	var built, cached bool
 	var entry *encodingEntry
 	var sp *obs.Span
 	var assumptions []*logic.Formula
 	var cert *certState
-	// Certification takes the fresh-encoder path even with a cache
-	// configured: the proof must start at clause one of this query's
-	// formula, not mid-life of a shared snapshot.
-	if a.cache != nil && !a.certify {
+	if a.usesSnapshots() {
 		// Cached path: clone the shared structural snapshot (built and,
 		// under presimplify, simplified exactly once per structure) and
 		// solve with the failure budget as an assumption on the private
@@ -499,24 +498,32 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 		// Verdicts are unaffected, but the clone explores the search
 		// space in a different order than a from-scratch encoding, so a
 		// SAT query may surface a different (equally minimal) witness.
+		// A certified query forks the snapshot's prelude checker and
+		// falls back to the fresh path when the snapshot shares none.
 		sp = qspan.Start("build")
 		t0 := time.Now()
 		var err error
-		enc, built, entry, err = a.snapshot(q)
+		enc, built, entry, err = a.snapshot(q, a.certify)
 		if err != nil {
 			sp.End()
 			a.completeQuery(qs, qspan, "error", err.Error())
 			return nil, err
+		}
+		cached = true
+		if a.certify {
+			cert = a.forkCertify(entry, enc)
+			cached = cert != nil
 		}
 		ph.Build = time.Since(t0)
 		if built {
 			preprocessPhase(&ph, entry.pre)
 		}
 		sp.End()
-
+	}
+	if cached {
 		qs.SetPhase("encode")
 		sp = qspan.Start("encode")
-		t0 = time.Now()
+		t0 := time.Now()
 		budget := a.budgetFormula(q)
 		if a.presimplify && entry != nil && entry.delta.Load() != nil {
 			// Delta snapshot: the clone is private, so the budget can be
@@ -549,7 +556,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 		var delivered []*logic.Formula
 		enc, delivered = a.encodeStructure(q)
 		a.proofSink = nil
-		ph.Build = time.Since(t0)
+		ph.Build += time.Since(t0)
 		sp.End()
 
 		qs.SetPhase("encode")
@@ -565,7 +572,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 			sp = qspan.Start("preprocess")
 			t0 = time.Now()
 			enc.Simplify()
-			ph.Preprocess = time.Since(t0)
+			ph.Preprocess += time.Since(t0)
 			sp.End()
 		}
 	}
@@ -626,7 +633,15 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 	if cert != nil {
 		qs.SetPhase("certify")
 		sp = qspan.Start("certify")
-		a.certifyResult(q, enc, cert, nil, res)
+		// On a snapshot the budget was assumed, not asserted, so an Unsat
+		// is certified by RUP-ness of its negated budget literal.
+		var alits []sat.Lit
+		if status == sat.Unsat {
+			for _, f := range assumptions {
+				alits = append(alits, enc.Lit(f))
+			}
+		}
+		a.certifyResult(q, enc, cert, alits, res)
 		sp.Annotate(obs.A("certified", res.Certified))
 		sp.End()
 	}

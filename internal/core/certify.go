@@ -21,7 +21,8 @@ import (
 //     strengthenings and failed literals included — as the solver emits
 //     them, so an Unsat answer is accepted only if the checker can
 //     certify the refutation (the empty clause for asserted budgets,
-//     RUP-ness of the negated budget assumption for Sweep).
+//     RUP-ness of the negated budget assumption for Sweep and for
+//     queries on a cached snapshot).
 //   - A Sat answer is audited twice: the reported threat vector must
 //     violate the property under the direct evaluator within its
 //     failure budget, and the solver's full named model must satisfy a
@@ -31,10 +32,18 @@ import (
 //     preprocessing, portfolio and cache all disabled, itself
 //     proof-checked, whose verdict replaces the suspect one.
 //
-// Certification bypasses the encoding cache for the certified solve
-// (the proof must start at clause one of this query's formula, not in
-// the middle of a shared snapshot's life) but leaves preprocessing and
-// portfolio escalation on: both are proof-logged, which is the point.
+// With a plain encoding cache (WithEncodingCache), certification shares
+// the snapshot: the snapshot is built under proof logging, and its
+// derivation — structure, negated property and Simplify — is checked
+// once, when it is built. Each query clones the snapshot together with
+// its checker and checks only its own suffix: the budget's clauses, the
+// search, and RUP-ness of the negated budget assumption. Certified
+// snapshots are keyed apart from uncertified ones. A snapshot whose
+// checker rejected a step or accepted a RAT addition is not shared, and
+// its queries — like those of analyzers without a cache or on a
+// delta-aware cache (CacheWithDelta) — are proof-logged from clause one
+// of a fresh encoding. Preprocessing and portfolio escalation stay on
+// either way: both are proof-logged, which is the point.
 // Threat enumeration (EnumerateThreats) is not certified — its blocking
 // clauses change the formula mid-stream; certify the individual
 // verdicts via Verify instead. Overhead is measured in EXPERIMENTS.md
@@ -62,22 +71,47 @@ func (a *Analyzer) newEncoder() *logic.Encoder {
 	return enc
 }
 
-// beginCertify starts a certified solve: it creates the proof checker
-// and installs it as the analyzer's pending proof sink, to be picked up
-// by the next newEncoder call. Returns nil when certification is off.
-// The fault plan's proof-truncation hook, when armed, is interposed
-// between solver and checker so chaos tests can corrupt the stream.
+// beginCertify starts a fresh certified solve: it creates the proof
+// checker and installs it as the analyzer's pending proof sink, to be
+// picked up by the next newEncoder call. Returns nil when certification
+// is off.
 func (a *Analyzer) beginCertify() *certState {
 	if !a.certify {
 		return nil
 	}
 	c := &certState{checker: drat.New()}
-	var w sat.ProofWriter = c.checker
-	if drop := a.faults.ProofDropHook(); drop != nil {
-		w = proofDropper{drop: drop, next: c.checker}
-	}
-	a.proofSink = w
+	a.proofSink = a.proofWriter(c.checker)
 	return c
+}
+
+// forkCertify starts a certified solve on enc, a private clone of the
+// cached snapshot e: the snapshot's prelude checker, which checked the
+// derivation from the first clause through Simplify once when the
+// snapshot was built, is cloned and armed on the clone's solver, so this
+// query checks only its own suffix — the budget's clauses, the search,
+// and the refutation of the budget assumption. Refuting the prelude's
+// database under the budget refutes the query, because every prelude
+// step was RUP or a deletion and so the database is implied by the
+// snapshot's input formula. Returns nil when the snapshot shares no
+// prelude (its checker rejected a step or accepted a RAT addition); the
+// caller then takes the fresh certified path.
+func (a *Analyzer) forkCertify(e *encodingEntry, enc *logic.Encoder) *certState {
+	if e.prelude == nil {
+		return nil
+	}
+	c := &certState{checker: e.prelude.Clone()}
+	enc.Solver().SetProofHook(a.proofWriter(c.checker))
+	return c
+}
+
+// proofWriter wraps a certification checker in the fault plan's
+// proof-truncation hook, when one is armed, so chaos tests can corrupt
+// the stream between solver and checker.
+func (a *Analyzer) proofWriter(ck *drat.Checker) sat.ProofWriter {
+	if drop := a.faults.ProofDropHook(); drop != nil {
+		return proofDropper{drop: drop, next: ck}
+	}
+	return ck
 }
 
 // proofDropper interposes the fault plan's proof-truncation predicate

@@ -8,6 +8,7 @@ import (
 	"scadaver/internal/obs"
 	"scadaver/internal/powergrid"
 	"scadaver/internal/sat"
+	"scadaver/internal/sat/drat"
 	"scadaver/internal/scadanet"
 )
 
@@ -64,8 +65,8 @@ func TestCertifiedVerifyMatchesUncertified(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	// Certification must compose with the cache (bypassing it for the
-	// certified solve) and preprocessing (proof-logging it).
+	// Certification must compose with the cache (forking the snapshot's
+	// prelude checker per query) and preprocessing (proof-logging it).
 	cert, err := NewAnalyzer(cfg, WithCertification(true), WithPresimplify(true),
 		WithEncodingCache(NewEncodingCache()), WithMetrics(reg))
 	if err != nil {
@@ -215,7 +216,15 @@ func TestCertifyIEEE57BoundaryUnsat(t *testing.T) {
 // certification the wrong answer is believed (proving the fault is
 // real); with it the audit diverges, the query is quarantined, and the
 // pristine re-solve restores the true verdict.
-func TestChaosCertifyFlippedVerdict(t *testing.T) {
+func TestChaosCertifyFlippedVerdict(t *testing.T) { testCertifyFlippedVerdict(t, false) }
+
+// TestChaosCertifyCachedFlippedVerdict is TestChaosCertifyFlippedVerdict
+// on the shared-snapshot path: the certified query forks the snapshot's
+// prelude checker and checks only its own suffix, and a flip in either
+// direction must still be caught there.
+func TestChaosCertifyCachedFlippedVerdict(t *testing.T) { testCertifyFlippedVerdict(t, true) }
+
+func testCertifyFlippedVerdict(t *testing.T, cached bool) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
 	unsatQ, satQ := boundaryQueries(t, cfg, Observability, 0)
 	for _, tc := range []struct {
@@ -250,13 +259,18 @@ func TestChaosCertifyFlippedVerdict(t *testing.T) {
 			// Certified leg: the flip must be caught and quarantined.
 			faults = faultinject.New(1).FlipVerdict(0)
 			reg := obs.NewRegistry()
-			cert, err := NewAnalyzer(cfg, WithFaults(faults), WithCertification(true), WithMetrics(reg))
+			opts, cache := certOptions(cached, WithFaults(faults), WithMetrics(reg))
+			cert, err := NewAnalyzer(cfg, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err = cert.Verify(tc.q)
 			if err != nil {
 				t.Fatal(err)
+			}
+			requirePrelude(t, cache)
+			if faults.Counts().VerdictFlips != 1 {
+				t.Fatalf("VerdictFlips = %d, want 1", faults.Counts().VerdictFlips)
 			}
 			if res.Status != tc.want {
 				t.Fatalf("quarantine did not restore the verdict: got %v, want %v", res.Status, tc.want)
@@ -286,12 +300,19 @@ func TestChaosCertifyFlippedVerdict(t *testing.T) {
 // reported vector no longer violates the property — and demands the
 // sat-model audit catches it and the quarantine re-solve reports a
 // genuine witness.
-func TestChaosCertifyCorruptedModel(t *testing.T) {
+func TestChaosCertifyCorruptedModel(t *testing.T) { testCertifyCorruptedModel(t, false) }
+
+// TestChaosCertifyCachedCorruptedModel is TestChaosCertifyCorruptedModel
+// on the shared-snapshot path.
+func TestChaosCertifyCachedCorruptedModel(t *testing.T) { testCertifyCorruptedModel(t, true) }
+
+func testCertifyCorruptedModel(t *testing.T, cached bool) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
 	_, satQ := boundaryQueries(t, cfg, Observability, 0)
 
 	faults := faultinject.New(1).CorruptModel(0)
-	cert, err := NewAnalyzer(cfg, WithFaults(faults), WithCertification(true))
+	opts, cache := certOptions(cached, WithFaults(faults))
+	cert, err := NewAnalyzer(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +320,7 @@ func TestChaosCertifyCorruptedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requirePrelude(t, cache)
 	if faults.Counts().ModelCorruptions != 1 {
 		t.Fatalf("ModelCorruptions = %d, want 1", faults.Counts().ModelCorruptions)
 	}
@@ -324,12 +346,23 @@ func TestChaosCertifyCorruptedModel(t *testing.T) {
 // lost, the closing empty clause included) and demands the unsat
 // verdict is refused, quarantined, and re-proved from a pristine
 // solve whose stream is intact.
-func TestChaosCertifyDroppedProofStep(t *testing.T) {
+func TestChaosCertifyDroppedProofStep(t *testing.T) { testCertifyDroppedProofStep(t, false) }
+
+// TestChaosCertifyCachedDroppedProofStep is TestChaosCertifyDroppedProofStep
+// on the shared-snapshot path, where the fault can only truncate the
+// query's own suffix: the prelude was checked when the snapshot was
+// built. The IEEE-14 observability boundary query needs about 20
+// conflicts on the presimplified snapshot, so its suffix derives clauses
+// for the fault to drop.
+func TestChaosCertifyCachedDroppedProofStep(t *testing.T) { testCertifyDroppedProofStep(t, true) }
+
+func testCertifyDroppedProofStep(t *testing.T, cached bool) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
 	unsatQ, _ := boundaryQueries(t, cfg, Observability, 0)
 
 	faults := faultinject.New(1).DropProofStep(0)
-	cert, err := NewAnalyzer(cfg, WithFaults(faults), WithCertification(true))
+	opts, cache := certOptions(cached, WithFaults(faults))
+	cert, err := NewAnalyzer(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +370,7 @@ func TestChaosCertifyDroppedProofStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requirePrelude(t, cache)
 	if faults.Counts().DroppedProofSteps == 0 {
 		t.Fatal("proof-truncation fault never fired")
 	}
@@ -349,5 +383,144 @@ func TestChaosCertifyDroppedProofStep(t *testing.T) {
 	}
 	if res.ProofClauses == 0 {
 		t.Fatal("quarantine re-proof has no derived clauses")
+	}
+}
+
+// certOptions returns a certified analyzer's options for one chaos leg:
+// the fresh path, or — cached — the shared-snapshot path
+// (WithEncodingCache + WithPresimplify). The cache is returned so the
+// test can confirm the query really ran on a shared prelude.
+func certOptions(cached bool, extra ...Option) ([]Option, *EncodingCache) {
+	opts := append([]Option{WithCertification(true)}, extra...)
+	if !cached {
+		return opts, nil
+	}
+	c := NewEncodingCache()
+	return append(opts, WithEncodingCache(c), WithPresimplify(true)), c
+}
+
+// requirePrelude fails the test unless c holds snapshots and every one
+// kept its prelude checker (a nil cache passes: the fresh path).
+func requirePrelude(t *testing.T, c *EncodingCache) {
+	t.Helper()
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) == 0 {
+		t.Fatal("no snapshot was built")
+	}
+	for key, e := range c.entries {
+		if e.prelude == nil {
+			t.Fatalf("snapshot %s shares no prelude", key)
+		}
+	}
+}
+
+// TestChaosCertifyCachedPreludeRefused covers the sharing guard: a
+// snapshot whose build checker rejected a step, or accepted a RAT
+// addition, is not shared for certification, and its queries still get
+// the correct certified verdict from the fresh certified path — not a
+// quarantine. The taints are applied to a copy of a real IEEE-14
+// prelude, on variables past the snapshot's own.
+func TestChaosCertifyCachedPreludeRefused(t *testing.T) {
+	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
+	unsatQ, satQ := boundaryQueries(t, cfg, Observability, 0)
+	for _, tc := range []struct {
+		name  string
+		taint func(ck *drat.Checker, x, y sat.Var)
+	}{
+		{"rejected-step", func(ck *drat.Checker, x, y sat.Var) {
+			// (¬x) is neither RUP nor RAT over (x y), (x ¬y).
+			ck.Step(sat.ProofInput, []sat.Lit{sat.PosLit(x), sat.PosLit(y)})
+			ck.Step(sat.ProofInput, []sat.Lit{sat.PosLit(x), sat.NegLit(y)})
+			ck.Step(sat.ProofAdd, []sat.Lit{sat.NegLit(x)})
+		}},
+		{"rat-step", func(ck *drat.Checker, x, _ sat.Var) {
+			// (x) is RAT but not RUP: no clause mentions x.
+			ck.Step(sat.ProofAdd, []sat.Lit{sat.PosLit(x)})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewEncodingCache()
+			reg := obs.NewRegistry()
+			a, err := NewAnalyzer(cfg, WithCertification(true), WithPresimplify(true),
+				WithEncodingCache(cache), WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Verify(unsatQ); err != nil {
+				t.Fatal(err)
+			}
+			requirePrelude(t, cache)
+			for _, e := range cache.entries {
+				ck := e.prelude.Clone()
+				nv := sat.Var(e.enc.Solver().NumVars())
+				tc.taint(ck, nv, nv+1)
+				if ck.Err() == nil && ck.RATs() == 0 {
+					t.Fatal("taint left the checker clean")
+				}
+				if e.prelude = sharedPrelude(ck); e.prelude != nil {
+					t.Fatal("tainted prelude shared")
+				}
+			}
+			for _, want := range []struct {
+				q      Query
+				status sat.Status
+			}{{unsatQ, sat.Unsat}, {satQ, sat.Sat}} {
+				res, err := a.Verify(want.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Status != want.status || !res.Certified || res.Quarantined {
+					t.Fatalf("%v: status %v certified=%v quarantined=%v (%q), want certified %v",
+						want.q, res.Status, res.Certified, res.Quarantined, res.CertifyError, want.status)
+				}
+				if res.Status == sat.Unsat && res.ProofClauses == 0 {
+					t.Fatalf("%v: unsat certified with an empty proof", want.q)
+				}
+			}
+			if n := reg.Counter("scadaver_certify_quarantine_total", map[string]string{"property": "observability"}); n != 0 {
+				t.Fatalf("refused prelude quarantined %v queries", n)
+			}
+		})
+	}
+}
+
+// TestCertifiedEnumerationSharesUncertifiedSnapshot checks that threat
+// enumeration, which is not certified, takes the uncertified snapshot on
+// a certifying analyzer: it builds no proof-logged snapshot, and an
+// uncertified analyzer on the same cache reuses its entry.
+func TestCertifiedEnumerationSharesUncertifiedSnapshot(t *testing.T) {
+	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
+	_, satQ := boundaryQueries(t, cfg, Observability, 0)
+	cache := NewEncodingCache()
+	certified, err := NewAnalyzer(cfg, WithCertification(true), WithPresimplify(true), WithEncodingCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewAnalyzer(cfg, WithPresimplify(true), WithEncodingCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := certified.EnumerateThreats(satQ, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plain.EnumerateThreats(satQ, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("enumerated %d vectors certified, %d uncertified", len(want), len(got))
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d snapshots, want the one uncertified snapshot", n)
+	}
+	for key, e := range cache.entries {
+		if e.prelude != nil || strings.HasSuffix(key, "|cert") {
+			t.Fatalf("enumeration built certified snapshot %s", key)
+		}
 	}
 }

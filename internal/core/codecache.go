@@ -10,6 +10,7 @@ import (
 	"scadaver/internal/logic"
 	"scadaver/internal/obs"
 	"scadaver/internal/sat"
+	"scadaver/internal/sat/drat"
 	"scadaver/internal/scadanet"
 )
 
@@ -98,15 +99,21 @@ func CacheWithDelta() CacheOption {
 // encodingEntry is one built snapshot: the base encoder (structure +
 // negated property asserted, optionally simplified; the failure budget
 // is NOT included), plus the preprocessing counters and duration its
-// construction accrued, reported once by the query that built it. In
-// delta mode the entry additionally carries its evolvable deltaState
-// (atomically published; cleared when a mutation moves the lineage to
-// the successor fingerprint's entry) and the harvest variable bound of
-// the sealed snapshot the entry serves.
+// construction accrued, reported once by the query that built it. A
+// certified snapshot (see snapshot) also keeps its prelude:
+// the proof checker that watched the snapshot being built, from the
+// encoder's first clause through Simplify. It stays nil when the checker
+// rejected a step or accepted a RAT addition, and the snapshot's queries
+// then take the fresh certified path. In delta mode the entry
+// additionally carries its evolvable deltaState (atomically published;
+// cleared when a mutation moves the lineage to the successor
+// fingerprint's entry) and the harvest variable bound of the sealed
+// snapshot the entry serves.
 type encodingEntry struct {
-	once sync.Once
-	enc  *logic.Encoder
-	pre  sat.Stats
+	once    sync.Once
+	enc     *logic.Encoder
+	pre     sat.Stats
+	prelude *drat.Checker
 
 	delta      atomic.Pointer[deltaState]
 	harvestMax int
@@ -290,14 +297,29 @@ func (c *EncodingCache) recordMutation(ms MutationStats) {
 // configuration/policy/maxPaths fingerprint is computed once per
 // analyzer; the per-query suffix covers exactly the fields
 // encodeStructure and violationFormula consult (property, R, KL) plus
-// the preprocessing mode and encoding version.
-func (a *Analyzer) encodingKey(q Query) (string, error) {
+// the preprocessing mode and encoding version. Certified snapshots
+// (cert) are keyed apart, so uncertified analyzers sharing the cache
+// never pay for proof logging.
+func (a *Analyzer) encodingKey(q Query, cert bool) (string, error) {
 	fp, err := a.encodingFingerprint()
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s|v%d|prop%d|r%d|kl%d|simp%t",
-		fp, EncodingVersion, q.Property, q.R, q.KL, a.presimplify), nil
+	key := fmt.Sprintf("%s|v%d|prop%d|r%d|kl%d|simp%t",
+		fp, EncodingVersion, q.Property, q.R, q.KL, a.presimplify)
+	if cert {
+		key += "|cert"
+	}
+	return key, nil
+}
+
+// usesSnapshots reports whether Verify and NewSweep start from a cache
+// snapshot. A certifying analyzer on a delta-aware cache does not: its
+// snapshots evolve under Mutate, and a prelude checker does not follow
+// them, so its queries take the fresh certified path. On a plain cache a
+// certifying analyzer uses certified snapshots (see snapshot).
+func (a *Analyzer) usesSnapshots() bool {
+	return a.cache != nil && !(a.certify && a.cache.delta)
 }
 
 // encodingFingerprint memoizes the analyzer's share of the cache key:
@@ -320,9 +342,11 @@ func (a *Analyzer) encodingFingerprint() (string, error) {
 // the failure budget is not, so one snapshot serves every budget. The
 // bool reports whether this call built the entry — the building query
 // attributes the one-time preprocessing cost and counters; cache hits
-// get the snapshot for free.
-func (a *Analyzer) snapshot(q Query) (*logic.Encoder, bool, *encodingEntry, error) {
-	key, err := a.encodingKey(q)
+// get the snapshot for free. With cert, which only certifying analyzers
+// on a plain cache pass, the snapshot is built under proof logging and
+// keeps its prelude checker.
+func (a *Analyzer) snapshot(q Query, cert bool) (*logic.Encoder, bool, *encodingEntry, error) {
+	key, err := a.encodingKey(q, cert)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -345,15 +369,40 @@ func (a *Analyzer) snapshot(q Query) (*logic.Encoder, bool, *encodingEntry, erro
 			e.delta.Store(st)
 			return
 		}
+		var ck *drat.Checker
+		if cert {
+			ck = drat.New()
+			a.proofSink = ck
+		}
 		enc, delivered := a.encodeStructure(probe)
+		a.proofSink = nil
 		enc.Assert(a.violationFormula(probe, delivered))
 		if a.presimplify {
 			enc.Simplify()
+		}
+		if ck != nil {
+			enc.Solver().SetProofHook(nil)
+			e.prelude = sharedPrelude(ck)
 		}
 		e.pre = enc.Solver().Stats()
 		e.enc = enc
 	})
 	return e.enc.Clone(), built, e, nil
+}
+
+// sharedPrelude returns the copy of a certified snapshot's build checker
+// that the snapshot keeps for its queries to fork (read-only from then
+// on), or nil when the build's derivation may not be shared: after a
+// rejected step nothing is certified, and after a RAT addition the
+// database is only equisatisfiable with the input formula, so refuting
+// it under a budget would not refute the query. The copy is a clone,
+// which drops the clauses Simplify deleted; the builder's watch lists
+// still hold them.
+func sharedPrelude(ck *drat.Checker) *drat.Checker {
+	if ck.Err() != nil || ck.RATs() > 0 {
+		return nil
+	}
+	return ck.Clone()
 }
 
 // addPreprocessStats folds a snapshot's one-time preprocessing counters
@@ -382,10 +431,11 @@ func preprocessPhase(ph *PhaseTimes, pre sat.Stats) {
 // enumeration: a cache clone plus the asserted budget when a cache is
 // configured, otherwise a fresh full encoding (preprocessed under
 // presimplify). Blocking clauses land on the returned encoder either
-// way, never on a shared snapshot.
+// way, never on a shared snapshot. Enumeration is not certified, so it
+// takes the uncertified snapshot even on a certifying analyzer.
 func (a *Analyzer) enumEncoder(q Query) (*logic.Encoder, error) {
 	if a.cache != nil {
-		enc, _, _, err := a.snapshot(q)
+		enc, _, _, err := a.snapshot(q, false)
 		if err != nil {
 			return nil, err
 		}

@@ -47,34 +47,38 @@ type Sweep struct {
 // under presimplify, pre-simplified) structural snapshot; otherwise it
 // encodes the structure itself, preprocessing it when presimplify is on.
 // Either way, per-k budgets stay assumptions on the sweep's private
-// encoder.
+// encoder. A certified sweep on a snapshot forks the snapshot's prelude
+// checker, as Verify does, and encodes afresh when the snapshot shares
+// none.
 func (a *Analyzer) NewSweep(p Property, r, kl int) (*Sweep, error) {
 	probe := Query{Property: p, Combined: true, K: 0, R: r, KL: kl}
 	if err := validateQuery(probe); err != nil {
 		return nil, err
 	}
-	var enc *logic.Encoder
-	var cert *certState
-	// As in Verify, certification forces the fresh-encoder path: the
-	// sweep's proof stream must contain every input clause, so the
-	// checker is armed on the encoder from construction.
-	if a.cache != nil && !a.certify {
-		var err error
-		enc, _, _, err = a.snapshot(probe)
+	sw := &Sweep{a: a, prop: p, r: r, kl: kl}
+	if a.usesSnapshots() {
+		enc, _, entry, err := a.snapshot(probe, a.certify)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		cert = a.beginCertify()
-		var delivered []*logic.Formula
-		enc, delivered = a.encodeStructure(probe)
-		a.proofSink = nil
-		enc.Assert(a.violationFormula(probe, delivered))
-		if a.presimplify {
-			enc.Simplify()
+		if !a.certify {
+			sw.enc = enc
+			return sw, nil
+		}
+		if sw.cert = a.forkCertify(entry, enc); sw.cert != nil {
+			sw.enc = enc
+			return sw, nil
 		}
 	}
-	return &Sweep{a: a, enc: enc, prop: p, r: r, kl: kl, cert: cert}, nil
+	sw.cert = a.beginCertify()
+	enc, delivered := a.encodeStructure(probe)
+	a.proofSink = nil
+	enc.Assert(a.violationFormula(probe, delivered))
+	if a.presimplify {
+		enc.Simplify()
+	}
+	sw.enc = enc
+	return sw, nil
 }
 
 // VerifyK verifies the combined-budget query with at most k device

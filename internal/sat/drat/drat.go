@@ -16,7 +16,16 @@
 // RUP over the final database. The latter is sound by monotonicity:
 // assuming all assumptions at once propagates at least as much as the
 // solver's level-by-level descent, so the solver's terminal conflict
-// reappears.
+// reappears. It is also why that certificate demands a RAT-free
+// derivation: RUP additions and deletions leave a database the input
+// formula implies, but a RAT addition only preserves satisfiability, so
+// a clause RUP over the database after one is no longer implied by the
+// input (RATs counts them).
+//
+// Clone forks a checker mid-stream. A shared solver snapshot keeps the
+// checker that watched it being built, and each query solving a clone of
+// that snapshot feeds its own steps to a clone of the checker, so the
+// snapshot's derivation is checked once rather than once per query.
 //
 // Dump (dump.go) is the escape hatch for external checkers: it buffers
 // the input formula as DIMACS and the derivation as DRAT text, the
@@ -55,6 +64,7 @@ type Checker struct {
 	err   error
 	steps int
 	adds  int
+	rats  int // additions accepted only by the RAT fallback
 	live  int
 	tmp   []sat.Lit // normalization scratch
 }
@@ -78,9 +88,84 @@ func (c *Checker) Steps() int { return c.steps }
 // consumed — the size of the checked derivation.
 func (c *Checker) Additions() int { return c.adds }
 
+// RATs returns the number of additions accepted by the RAT fallback
+// rather than by RUP. After the first one, the database is only
+// equisatisfiable with the input formula, not implied by it.
+func (c *Checker) RATs() int { return c.rats }
+
 // Live returns the number of clauses currently held, the checker's
 // memory bound.
 func (c *Checker) Live() int { return c.live }
+
+// Clone returns an independent copy of the checker: the live clause
+// database, the root trail, the refutation and error status, and the
+// step, addition and RAT counters. Steps fed to the copy never reach the
+// original, and the reverse. Clone only reads c, so any number of
+// goroutines may clone one checker concurrently while nobody steps it.
+//
+// Like sat.Solver.Clone the copy is arena-allocated — one clause slab,
+// one literal slab and one watcher buffer instead of allocations per
+// clause — and each clause's literals are capacity-clipped to their
+// segment, so the in-place watch swaps stay inside it. Canonical keys
+// are immutable strings and are shared. The watch lists are rebuilt from
+// each clause's first two literals (the watched pair), which also drops
+// the deleted clauses the original still holds lazily.
+func (c *Checker) Clone() *Checker {
+	n := &Checker{
+		clauses: make(map[string][]*cclause, len(c.clauses)),
+		watches: make([][]*cclause, len(c.watches)),
+		assigns: append([]int8(nil), c.assigns...),
+		trail:   append([]sat.Lit(nil), c.trail...),
+		qhead:   c.qhead,
+		empty:   c.empty,
+		err:     c.err,
+		steps:   c.steps,
+		adds:    c.adds,
+		rats:    c.rats,
+		live:    c.live,
+	}
+	ncl, nlits := 0, 0
+	for _, bucket := range c.clauses {
+		ncl += len(bucket)
+		for _, cl := range bucket {
+			nlits += len(cl.lits)
+		}
+	}
+	// The slabs are sized exactly: an append past capacity would move
+	// them and strand the pointers already taken.
+	arena := make([]cclause, 0, ncl)
+	ptrs := make([]*cclause, 0, ncl)
+	lits := make([]sat.Lit, 0, nlits)
+	wcount := make([]int32, len(c.watches))
+	for k, bucket := range c.clauses {
+		lo := len(ptrs)
+		for _, cl := range bucket {
+			l0 := len(lits)
+			lits = append(lits, cl.lits...)
+			arena = append(arena, cclause{lits: lits[l0:len(lits):len(lits)]})
+			copied := &arena[len(arena)-1]
+			ptrs = append(ptrs, copied)
+			wcount[copied.lits[0]]++
+			wcount[copied.lits[1]]++
+		}
+		n.clauses[k] = ptrs[lo:len(ptrs):len(ptrs)]
+	}
+	wbuf := make([]*cclause, 2*len(arena))
+	off := 0
+	for i, w := range wcount {
+		if w == 0 {
+			continue
+		}
+		n.watches[i] = wbuf[off : off : off+int(w)]
+		off += int(w)
+	}
+	for i := range arena {
+		cl := &arena[i]
+		n.watches[cl.lits[0]] = append(n.watches[cl.lits[0]], cl)
+		n.watches[cl.lits[1]] = append(n.watches[cl.lits[1]], cl)
+	}
+	return n
+}
 
 // Step implements sat.ProofWriter.
 func (c *Checker) Step(op sat.ProofOp, lits []sat.Lit) {
@@ -96,9 +181,12 @@ func (c *Checker) Step(op sat.ProofOp, lits []sat.Lit) {
 		if c.empty {
 			return // refutation complete; anything follows
 		}
-		if !c.rup(lits) && !c.rat(lits) {
-			c.err = fmt.Errorf("drat: step %d: clause (%s) is neither RUP nor RAT", c.steps, clauseString(lits))
-			return
+		if !c.rup(lits) {
+			if !c.rat(lits) {
+				c.err = fmt.Errorf("drat: step %d: clause (%s) is neither RUP nor RAT", c.steps, clauseString(lits))
+				return
+			}
+			c.rats++
 		}
 		c.addClause(lits)
 	case sat.ProofDelete:
@@ -108,23 +196,13 @@ func (c *Checker) Step(op sat.ProofOp, lits []sat.Lit) {
 	}
 }
 
-// CheckClause reports whether lits is RUP or RAT over the current
-// database without adding it. This is how UNSAT-under-assumptions
-// verdicts are certified (see VerifyUnsat).
-func (c *Checker) CheckClause(lits []sat.Lit) error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.rup(lits) || c.rat(lits) {
-		return nil
-	}
-	return fmt.Errorf("drat: clause (%s) is neither RUP nor RAT", clauseString(lits))
-}
-
 // VerifyUnsat certifies an Unsat verdict. With no assumptions the proof
 // must have derived the empty clause; under assumptions it suffices
-// that the clause of negated assumptions is RUP/RAT over the final
-// database (the solver's terminal conflict, replayed all at once).
+// that the clause of negated assumptions is RUP over the final database
+// (the solver's terminal conflict, replayed all at once) and that no
+// addition so far was RAT. RAT is not enough for the assumption clause
+// itself either: it would only show the clause preserves
+// satisfiability, not that the formula implies it.
 func (c *Checker) VerifyUnsat(assumptions ...sat.Lit) error {
 	if c.err != nil {
 		return c.err
@@ -135,12 +213,15 @@ func (c *Checker) VerifyUnsat(assumptions ...sat.Lit) error {
 	if len(assumptions) == 0 {
 		return errors.New("drat: proof did not derive the empty clause")
 	}
+	if c.rats > 0 {
+		return fmt.Errorf("drat: assumption clause not implied: %d RAT additions precede it", c.rats)
+	}
 	neg := make([]sat.Lit, len(assumptions))
 	for i, a := range assumptions {
 		neg[i] = a.Neg()
 	}
-	if err := c.CheckClause(neg); err != nil {
-		return fmt.Errorf("drat: assumption clause not implied: %w", err)
+	if !c.rup(neg) {
+		return fmt.Errorf("drat: assumption clause (%s) is not RUP", clauseString(neg))
 	}
 	return nil
 }
@@ -392,11 +473,23 @@ func (c *Checker) rup(lits []sat.Lit) bool {
 // containing the pivot's negation must itself be RUP. The solver's own
 // emissions are RUP by construction, so this path is cold — it scans
 // the whole database rather than keeping occurrence lists.
+//
+// Unit and root-satisfied clauses are not stored, so the scan cannot see
+// them. That matters only when the pivot is false at the root: a stored
+// partner containing the pivot's negation may then be missing (the unit
+// (¬pivot) itself, or a clause satisfied by ¬pivot), so such a clause is
+// refused outright. It would not be RUP either, and without this check
+// the input (x) alone would admit the addition (¬x), a refutation of a
+// satisfiable formula.
 func (c *Checker) rat(lits []sat.Lit) bool {
 	if len(lits) == 0 {
 		return false
 	}
 	pivot := lits[0]
+	c.ensure(lits)
+	if c.value(pivot) == -1 {
+		return false
+	}
 	np := pivot.Neg()
 	for _, bucket := range c.clauses {
 		for _, cl := range bucket {

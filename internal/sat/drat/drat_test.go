@@ -460,3 +460,152 @@ func TestTeeFansOut(t *testing.T) {
 		t.Fatalf("dump missed steps: proof=%d bytes inputs=%d want %d", proof.Len(), d.Inputs(), len(cnf))
 	}
 }
+
+// TestCheckerCloneIndependent: steps fed to a clone never reach the
+// original and the reverse, and the counters carry over at the fork.
+func TestCheckerCloneIndependent(t *testing.T) {
+	ck := New()
+	ck.Step(sat.ProofInput, toLits([]int{1, 2, 3}))
+	ck.Step(sat.ProofInput, toLits([]int{-1, 2, 3}))
+	ck.Step(sat.ProofInput, toLits([]int{-2, 4}))
+	ck.Step(sat.ProofAdd, toLits([]int{2, 3}))
+	if ck.Err() != nil {
+		t.Fatal(ck.Err())
+	}
+	cl := ck.Clone()
+	if cl.Steps() != ck.Steps() || cl.Additions() != ck.Additions() || cl.Live() != ck.Live() {
+		t.Fatalf("clone counters steps=%d adds=%d live=%d, original %d/%d/%d",
+			cl.Steps(), cl.Additions(), cl.Live(), ck.Steps(), ck.Additions(), ck.Live())
+	}
+
+	// Clone leg: refute the formula (units ¬3 and ¬4 force 2, then ¬2).
+	cl.Step(sat.ProofInput, toLits([]int{-3}))
+	cl.Step(sat.ProofInput, toLits([]int{-4}))
+	if err := cl.VerifyUnsat(); err != nil {
+		t.Fatalf("clone refutation: %v", err)
+	}
+	if ck.Empty() || ck.VerifyUnsat() == nil {
+		t.Fatal("clone's inputs reached the original")
+	}
+	if ck.Steps() != 4 || ck.Live() != 4 {
+		t.Fatalf("original moved: steps=%d live=%d", ck.Steps(), ck.Live())
+	}
+	// The clone's root units (¬3, ¬4, ¬2) do not exist for the original:
+	// the opposite units are consistent there.
+	orig := ck.Clone()
+	orig.Step(sat.ProofInput, toLits([]int{3}))
+	orig.Step(sat.ProofInput, toLits([]int{4}))
+	if orig.Empty() {
+		t.Fatal("the clone's root assignment reached the original")
+	}
+
+	// Original leg: a deletion and a bogus addition stay on the original.
+	ck.Step(sat.ProofDelete, toLits([]int{2, 3}))
+	ck.Step(sat.ProofAdd, toLits([]int{-2}))
+	if ck.Err() == nil {
+		t.Fatal("underivable clause accepted on the original")
+	}
+	if cl.Err() != nil {
+		t.Fatalf("original's error reached the clone: %v", cl.Err())
+	}
+
+	// A deletion on the original after the fork leaves the clone's
+	// database whole: (2 3) stays RUP there from (1 2 3) and (-1 2 3).
+	orig = New()
+	orig.Step(sat.ProofInput, toLits([]int{1, 2, 3}))
+	orig.Step(sat.ProofInput, toLits([]int{-1, 2, 3}))
+	fork := orig.Clone()
+	orig.Step(sat.ProofDelete, toLits([]int{1, 2, 3}))
+	if orig.Live() != 1 || fork.Live() != 2 {
+		t.Fatalf("after delete on the original: live %d / clone %d, want 1 / 2", orig.Live(), fork.Live())
+	}
+	fork.Step(sat.ProofAdd, toLits([]int{2, 3}))
+	if fork.Err() != nil || fork.RATs() != 0 {
+		t.Fatalf("clone lost a clause the original deleted after the fork: err=%v rats=%d", fork.Err(), fork.RATs())
+	}
+}
+
+// TestCheckerCloneRefutedAndRAT: a clone of a refuted checker stays
+// refuted, and the RAT counter is copied — so a clone forked after a RAT
+// addition refuses assumption certificates just like its original.
+func TestCheckerCloneRefutedAndRAT(t *testing.T) {
+	ref := New()
+	ref.Step(sat.ProofInput, toLits([]int{1}))
+	ref.Step(sat.ProofInput, toLits([]int{-1}))
+	if !ref.Empty() {
+		t.Fatal("x and ¬x not refuted")
+	}
+	cl := ref.Clone()
+	if !cl.Empty() || cl.VerifyUnsat() != nil {
+		t.Fatal("clone of a refuted checker is not refuted")
+	}
+	cl.Step(sat.ProofInput, toLits([]int{2, 3}))
+	if cl.VerifyUnsat() != nil {
+		t.Fatal("refuted clone lost its refutation after more input")
+	}
+
+	// (1) is not RUP over {(1 2)} but is RAT on pivot 1: no clause holds
+	// ¬1. With (¬1 3) added afterwards, 3 is a root fact, so the clause
+	// (3) is RUP — yet the inputs (1 2), (¬1 3) are satisfiable under the
+	// assumption ¬3. Only the RAT guard stands between that RUP check and
+	// a wrong certificate.
+	rat := New()
+	rat.Step(sat.ProofInput, toLits([]int{1, 2}))
+	rat.Step(sat.ProofAdd, toLits([]int{1}))
+	rat.Step(sat.ProofInput, toLits([]int{-1, 3}))
+	if rat.Err() != nil || rat.RATs() != 1 {
+		t.Fatalf("RAT addition: err=%v rats=%d", rat.Err(), rat.RATs())
+	}
+	fork := rat.Clone()
+	if fork.RATs() != 1 {
+		t.Fatalf("clone RATs = %d, want 1", fork.RATs())
+	}
+	notThree := sat.NegLit(2)
+	if !fork.rup([]sat.Lit{notThree.Neg()}) {
+		t.Fatal("(3) should be RUP after the RAT unit")
+	}
+	if err := fork.VerifyUnsat(notThree); err == nil {
+		t.Fatal("assumption certificate accepted after a RAT addition")
+	}
+}
+
+// TestVerifyUnsatAssumptionNeedsRUP: an assumption clause that is only
+// RAT over the database does not certify Unsat. (x) is RAT over {(x y)}
+// because no clause holds ¬x, yet the formula is satisfiable under ¬x.
+func TestVerifyUnsatAssumptionNeedsRUP(t *testing.T) {
+	ck := New()
+	ck.Step(sat.ProofInput, toLits([]int{1, 2}))
+	if err := ck.VerifyUnsat(sat.NegLit(0)); err == nil {
+		t.Fatal("satisfiable assumption certified unsat by RAT")
+	}
+	ck.Step(sat.ProofInput, toLits([]int{-2}))
+	if err := ck.VerifyUnsat(sat.NegLit(0)); err != nil {
+		t.Fatalf("RUP assumption clause rejected: %v", err)
+	}
+}
+
+// TestCheckerRATSeesRootUnits: unit clauses live on the root trail, not
+// in the clause store, so a RAT scan cannot find them as resolution
+// partners. (¬x) after the input (x) must still be rejected — accepted,
+// it would refute a satisfiable formula.
+func TestCheckerRATSeesRootUnits(t *testing.T) {
+	ck := New()
+	ck.Step(sat.ProofInput, toLits([]int{1}))
+	ck.Step(sat.ProofInput, toLits([]int{2, 3}))
+	ck.Step(sat.ProofAdd, toLits([]int{-1}))
+	if ck.Err() == nil {
+		t.Fatal("(¬x) accepted after the unit input (x)")
+	}
+	if ck.VerifyUnsat() == nil {
+		t.Fatal("satisfiable formula certified unsat")
+	}
+	// A clause satisfied at the root by ¬x is dropped from the store the
+	// same way; a RAT addition on pivot x must not slip past it either.
+	ck = New()
+	ck.Step(sat.ProofInput, toLits([]int{-1}))
+	ck.Step(sat.ProofInput, toLits([]int{-1, 2}))
+	ck.Step(sat.ProofAdd, toLits([]int{1, -2}))
+	if ck.Err() == nil {
+		t.Fatal("RAT on a pivot false at the root accepted")
+	}
+}

@@ -56,6 +56,11 @@ func cnfFromBytes(data []byte) (nv int, cnf [][]int) {
 //  4. Mutation detection — dropping the final derivation step must
 //     leave the refutation uncertified (unless an earlier step already
 //     derived the empty clause).
+//  5. Clone transparency — every replay above also runs split: the
+//     stream is cut at an input-chosen step, the checker cloned there,
+//     and the rest fed to the clone. Its Err, Empty and VerifyUnsat must
+//     match the straight run, so a genuine proof still checks and a
+//     mutated one is still rejected across a fork.
 func FuzzDRATCheck(f *testing.F) {
 	f.Add([]byte{0, 1, 16, 3, 16, 5, 16})
 	f.Add([]byte{3, 0, 2, 16, 1, 3, 16, 5, 4, 16, 2, 7, 16})
@@ -116,8 +121,11 @@ func FuzzDRATCheck(f *testing.F) {
 			t.Fatalf("solver unsat, brute force sat: %v", cnf)
 		}
 
+		cut := int(data[len(data)/2])
+		replay := func(steps []streamStep) *Checker { return replayBoth(t, steps, cut) }
+
 		// (1) The genuine proof must check.
-		ck := replayInto(rec.steps)
+		ck := replay(rec.steps)
 		if err := ck.Err(); err != nil {
 			t.Fatalf("proof step rejected: %v", err)
 		}
@@ -144,7 +152,7 @@ func FuzzDRATCheck(f *testing.F) {
 			mut = append(mut, rec.steps[i+1:]...)
 			weaker := append(append([][]int(nil), inputs[:ordinal]...), inputs[ordinal+1:]...)
 			if bruteForceSat(nv, weaker) {
-				if mck := replayInto(mut); mck.Err() == nil && mck.VerifyUnsat() == nil {
+				if mck := replay(mut); mck.Err() == nil && mck.VerifyUnsat() == nil {
 					t.Fatalf("checker certified unsat for a satisfiable weakening (dropped input %d)", ordinal)
 				}
 			}
@@ -161,7 +169,7 @@ func FuzzDRATCheck(f *testing.F) {
 		if last >= 0 {
 			mut := append([]streamStep(nil), rec.steps[:last]...)
 			mut = append(mut, rec.steps[last+1:]...)
-			mck := replayInto(mut)
+			mck := replay(mut)
 			if !mck.Empty() && mck.VerifyUnsat() == nil {
 				t.Fatal("dropped final step still certified")
 			}
@@ -180,4 +188,42 @@ func fromLits(lits []sat.Lit) []int {
 		out[i] = n
 	}
 	return out
+}
+
+// replayBoth replays steps straight into one checker and split across a
+// Clone taken after cut%(len(steps)+1) steps: the rest goes to the clone
+// and, separately, to the checker it was cloned from. It fails the test
+// when either leg disagrees with the straight run on Err, Empty or
+// VerifyUnsat, and returns the straight checker.
+func replayBoth(t *testing.T, steps []streamStep, cut int) *Checker {
+	t.Helper()
+	straight := replayInto(steps)
+	cut %= len(steps) + 1
+	head := replayInto(steps[:cut])
+	before := head.Steps()
+	split := head.Clone()
+	for _, st := range steps[cut:] {
+		split.Step(st.op, st.lits)
+	}
+	if head.Steps() != before {
+		t.Fatalf("steps fed to the clone reached the original (%d -> %d)", before, head.Steps())
+	}
+	// The original, continued on its own after the fork, must not see
+	// the clone's work either.
+	for _, st := range steps[cut:] {
+		head.Step(st.op, st.lits)
+	}
+	okErr := func(err error) bool { return err == nil }
+	for _, leg := range []struct {
+		name string
+		ck   *Checker
+	}{{"clone", split}, {"original", head}} {
+		if okErr(leg.ck.Err()) != okErr(straight.Err()) || leg.ck.Empty() != straight.Empty() ||
+			okErr(leg.ck.VerifyUnsat()) != okErr(straight.VerifyUnsat()) {
+			t.Fatalf("split at %d/%d, %s: err=%v empty=%v unsat=%v, straight err=%v empty=%v unsat=%v",
+				cut, len(steps), leg.name, leg.ck.Err(), leg.ck.Empty(), leg.ck.VerifyUnsat(),
+				straight.Err(), straight.Empty(), straight.VerifyUnsat())
+		}
+	}
+	return straight
 }
