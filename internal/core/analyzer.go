@@ -503,7 +503,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 		sp = qspan.Start("build")
 		t0 := time.Now()
 		var err error
-		enc, built, entry, err = a.snapshot(q, a.certify)
+		enc, built, entry, err = a.snapshot(q, a.certify, sp, qs)
 		if err != nil {
 			sp.End()
 			a.completeQuery(qs, qspan, "error", err.Error())

@@ -344,8 +344,11 @@ func (a *Analyzer) encodingFingerprint() (string, error) {
 // attributes the one-time preprocessing cost and counters; cache hits
 // get the snapshot for free. With cert, which only certifying analyzers
 // on a plain cache pass, the snapshot is built under proof logging and
-// keeps its prelude checker.
-func (a *Analyzer) snapshot(q Query, cert bool) (*logic.Encoder, bool, *encodingEntry, error) {
+// keeps its prelude checker. The building query's one-off Simplify runs
+// in a "preprocess" child of its build span, with the query registry
+// showing the preprocess phase (nil build span and query state, as
+// callers outside a traced query pass, skip both).
+func (a *Analyzer) snapshot(q Query, cert bool, build *obs.Span, qs *obs.QueryState) (*logic.Encoder, bool, *encodingEntry, error) {
 	key, err := a.encodingKey(q, cert)
 	if err != nil {
 		return nil, false, nil, err
@@ -362,7 +365,7 @@ func (a *Analyzer) snapshot(q Query, cert bool) (*logic.Encoder, bool, *encoding
 			// sealed snapshot (see delta.go). Logically equivalent to the
 			// monolithic encoding over the named variables, but evolvable
 			// under EncodingCache.Mutate.
-			st := a.buildDeltaState(probe)
+			st := a.buildDeltaState(probe, build, qs)
 			e.pre = st.sealed.Solver().Stats()
 			e.enc = st.sealed
 			e.harvestMax = st.sealedVars
@@ -378,7 +381,7 @@ func (a *Analyzer) snapshot(q Query, cert bool) (*logic.Encoder, bool, *encoding
 		a.proofSink = nil
 		enc.Assert(a.violationFormula(probe, delivered))
 		if a.presimplify {
-			enc.Simplify()
+			preprocessSnapshot(enc, build, qs)
 		}
 		if ck != nil {
 			enc.Solver().SetProofHook(nil)
@@ -388,6 +391,18 @@ func (a *Analyzer) snapshot(q Query, cert bool) (*logic.Encoder, bool, *encoding
 		e.enc = enc
 	})
 	return e.enc.Clone(), built, e, nil
+}
+
+// preprocessSnapshot runs a snapshot build's one-off Simplify inside a
+// "preprocess" child of the building query's build span and shows the
+// preprocess phase in the query registry meanwhile, so traces and
+// /v1/queries attribute it as Result.Phases does (see preprocessPhase).
+func preprocessSnapshot(enc *logic.Encoder, build *obs.Span, qs *obs.QueryState) {
+	qs.SetPhase("preprocess")
+	sp := build.Start("preprocess")
+	enc.Simplify()
+	sp.End()
+	qs.SetPhase("build")
 }
 
 // sharedPrelude returns the copy of a certified snapshot's build checker
@@ -435,7 +450,7 @@ func preprocessPhase(ph *PhaseTimes, pre sat.Stats) {
 // takes the uncertified snapshot even on a certifying analyzer.
 func (a *Analyzer) enumEncoder(q Query) (*logic.Encoder, error) {
 	if a.cache != nil {
-		enc, _, _, err := a.snapshot(q, false)
+		enc, _, _, err := a.snapshot(q, false, nil, nil)
 		if err != nil {
 			return nil, err
 		}

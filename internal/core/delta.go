@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"scadaver/internal/logic"
+	"scadaver/internal/obs"
 	"scadaver/internal/sat"
 	"scadaver/internal/scadanet"
 	"scadaver/internal/secpolicy"
@@ -296,8 +298,9 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 // buildDeltaState encodes the full guarded-group inventory on a fresh
 // master, optionally presimplifies it (sound: with every selector free
 // the master weakens every version, and selectors are named and thereby
-// frozen), and seals the first snapshot.
-func (a *Analyzer) buildDeltaState(probe Query) *deltaState {
+// frozen), and seals the first snapshot. The Simplify is attributed to
+// the building query as in snapshot.
+func (a *Analyzer) buildDeltaState(probe Query, build *obs.Span, qs *obs.QueryState) *deltaState {
 	st := &deltaState{
 		probe:     probe,
 		master:    a.newEncoder(),
@@ -310,7 +313,7 @@ func (a *Analyzer) buildDeltaState(probe Query) *deltaState {
 		st.encodeGroup(key, specs[key])
 	}
 	if a.presimplify {
-		st.master.Simplify()
+		preprocessSnapshot(st.master, build, qs)
 	}
 	st.seal()
 	return st
@@ -497,7 +500,7 @@ func (st *deltaState) activeGroups() int {
 
 func clauseKey(c []sat.Lit) string {
 	sorted := append([]sat.Lit(nil), c...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	return fmt.Sprintf("%v", sorted)
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"scadaver/internal/obs"
@@ -371,4 +372,88 @@ func TestEnumerateTraceSpan(t *testing.T) {
 		}
 	}
 	t.Fatal("no enumerate span end record")
+}
+
+// TestSnapshotPreprocessSpan checks where a cached snapshot's one-off
+// Simplify shows in a trace: as a "preprocess" child of the build span
+// of the query that built the snapshot, and never inside a cache hit's
+// build span. Both cache layouts are covered; the delta layout
+// simplifies its master.
+func TestSnapshotPreprocessSpan(t *testing.T) {
+	cfg, err := scadanet.CaseStudyConfig(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []bool{false, true} {
+		var copts []CacheOption
+		if delta {
+			copts = append(copts, CacheWithDelta())
+		}
+		var buf bytes.Buffer
+		tracer := obs.NewTracer(&buf)
+		root := tracer.Start("test")
+		a, err := NewAnalyzer(cfg, WithTrace(root), WithPresimplify(true),
+			WithEncodingCache(NewEncodingCache(copts...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Queries 0 and 2 build their snapshots; 1 and 3 hit them.
+		queries := []Query{
+			{Property: Observability, K1: 1, K2: 1},
+			{Property: Observability, K1: 2, K2: 1},
+			{Property: SecuredObservability, Combined: true, K: 1},
+			{Property: SecuredObservability, Combined: true, K: 2},
+		}
+		for i, q := range queries {
+			res, err := a.Verify(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !delta && (res.Phases.Preprocess > 0) != (i%2 == 0) {
+				t.Fatalf("delta=%t %v: Phases.Preprocess = %v", delta, q, res.Phases.Preprocess)
+			}
+		}
+		root.End()
+		if err := tracer.Err(); err != nil {
+			t.Fatal(err)
+		}
+		begins := assertSpansBalanced(t, parseTrace(t, &buf))
+
+		// Span ids are issued in start order, so sorted query span ids
+		// follow the query list.
+		var queryIDs []uint64
+		for id, b := range begins {
+			if b.Name == "query" {
+				queryIDs = append(queryIDs, id)
+			}
+		}
+		if len(queryIDs) != len(queries) {
+			t.Fatalf("delta=%t: %d query spans in trace, want %d", delta, len(queryIDs), len(queries))
+		}
+		slices.Sort(queryIDs)
+		perQuery := map[uint64]int{}
+		for _, b := range begins {
+			if b.Name != "preprocess" {
+				continue
+			}
+			switch parent := begins[b.Parent]; {
+			case parent.Name == "build":
+				perQuery[parent.Parent]++
+			case parent.Name == "query" && delta:
+				// A delta-snapshot query preprocesses its own clone
+				// (ReduceRoot + ProbeRoot) in a phase span of its own.
+			default:
+				t.Fatalf("delta=%t: preprocess span under %q", delta, parent.Name)
+			}
+		}
+		for i, id := range queryIDs {
+			want := 0
+			if i%2 == 0 {
+				want = 1
+			}
+			if perQuery[id] != want {
+				t.Errorf("delta=%t query %d (%v): %d preprocess spans, want %d", delta, i, queries[i], perQuery[id], want)
+			}
+		}
+	}
 }

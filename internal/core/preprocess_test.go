@@ -1,0 +1,125 @@
+package core_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"scadaver/internal/core"
+	"scadaver/internal/experiments"
+	"scadaver/internal/powergrid"
+	"scadaver/internal/sat"
+	"scadaver/internal/synth"
+)
+
+// snapshotDigest hashes what a presimplified snapshot hands every query:
+// its clause database as WriteDIMACS prints it (clause order included),
+// its eliminated-variable set, its root-assigned literals and the
+// preprocessing counters that produced it. The model a budget-free solve
+// of a clone reconstructs is hashed too: it reads the elimination stack,
+// which the clause database alone does not show.
+func snapshotDigest(t *testing.T, s *sat.Solver) string {
+	t.Helper()
+	h := fnv.New64a()
+	if err := s.WriteDIMACS(h); err != nil {
+		t.Fatal(err)
+	}
+	for v := sat.Var(0); int(v) < s.NumVars(); v++ {
+		if s.Eliminated(v) {
+			fmt.Fprintf(h, "e%d ", v)
+		}
+		if val := s.Value(v); val != sat.Unknown {
+			fmt.Fprintf(h, "a%d=%v ", v, val)
+		}
+	}
+	st := s.Stats()
+	fmt.Fprintf(h, "elim=%d sub=%d str=%d failed=%d", st.ElimVars, st.SubsumedClauses, st.StrengthenedClauses, st.FailedLits)
+	c := s.Clone()
+	fmt.Fprintf(h, " %v ", c.Solve())
+	for _, b := range c.Model() {
+		fmt.Fprintf(h, "%t", b)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSnapshotSimplifyGolden pins the simplified CNF of every snapshot
+// structure the k-sweep campaign uses (observability, secured
+// observability, bad-data detectability with r = 1) on one IEEE-14 and
+// one IEEE-57 configuration. The digests were recorded before the
+// bounded-variable-elimination kernel was rewritten for speed; a
+// preprocessing change that alters the emitted formula must fail here
+// and bump EncodingVersion.
+func TestSnapshotSimplifyGolden(t *testing.T) {
+	cases := []struct {
+		bus  *powergrid.BusSystem
+		seed int64
+		want map[string]string // encoding key suffix → digest
+	}{
+		{powergrid.IEEE14(), 14007, map[string]string{
+			"observability/r0":          "389b3a0eddf42c40",
+			"secured-observability/r0":  "3eb743ea75a8c21f",
+			"bad-data-detectability/r1": "e5ce414435a2e7df",
+		}},
+		{powergrid.IEEE57(), 57007, map[string]string{
+			"observability/r0":          "1e21f134bf90af88",
+			"secured-observability/r0":  "89add4980aadd5ad",
+			"bad-data-detectability/r1": "b198c503cd49e3ba",
+		}},
+	}
+	for _, tc := range cases {
+		if testing.Short() && tc.bus.Name != "ieee14" {
+			continue
+		}
+		cfg, err := synth.Generate(synth.Params{Bus: tc.bus, Seed: tc.seed, Hierarchy: 2, SecureFraction: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true), core.WithEncodingCache(core.NewEncodingCache()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, q := range experiments.SweepQueries(4) {
+			key := fmt.Sprintf("%v/r%d", q.Property, q.R)
+			if _, ok := got[key]; ok {
+				continue
+			}
+			enc, err := a.SnapshotEncoder(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[key] = snapshotDigest(t, enc.Solver())
+		}
+		for key, d := range got {
+			if tc.want[key] != d {
+				t.Errorf("%s seed %d %s: digest %s, want %s", tc.bus.Name, tc.seed, key, d, tc.want[key])
+			}
+		}
+	}
+}
+
+// BenchmarkSimplifyIEEE57 times the one-off preprocessing of a snapshot:
+// each iteration runs Simplify on a fresh clone of the IEEE-57 (seed
+// 57007) observability encoding as the cache builds it, before
+// preprocessing. The clone is made with the timer stopped.
+func BenchmarkSimplifyIEEE57(b *testing.B) {
+	cfg, err := synth.Generate(synth.Params{Bus: powergrid.IEEE57(), Seed: 57007, Hierarchy: 2, SecureFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := a.StructureEncoder(core.Query{Property: core.Observability, Combined: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := enc.Clone()
+		b.StartTimer()
+		if !c.Simplify() {
+			b.Fatal("snapshot refuted by preprocessing")
+		}
+	}
+}

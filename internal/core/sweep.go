@@ -57,7 +57,7 @@ func (a *Analyzer) NewSweep(p Property, r, kl int) (*Sweep, error) {
 	}
 	sw := &Sweep{a: a, prop: p, r: r, kl: kl}
 	if a.usesSnapshots() {
-		enc, _, entry, err := a.snapshot(probe, a.certify)
+		enc, _, entry, err := a.snapshot(probe, a.certify, nil, nil)
 		if err != nil {
 			return nil, err
 		}

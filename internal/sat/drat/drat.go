@@ -35,7 +35,7 @@ package drat
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"scadaver/internal/sat"
@@ -327,7 +327,7 @@ func (c *Checker) propagate() bool {
 // for tautologies.
 func (c *Checker) normalize(lits []sat.Lit) (out []sat.Lit, ok bool) {
 	c.tmp = append(c.tmp[:0], lits...)
-	sort.Slice(c.tmp, func(i, j int) bool { return c.tmp[i] < c.tmp[j] })
+	slices.Sort(c.tmp)
 	w := 0
 	for i, l := range c.tmp {
 		if w > 0 && l == c.tmp[w-1] {

@@ -1,7 +1,7 @@
 package sat
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -25,10 +25,13 @@ import (
 // the structured formulas the encoder emits) and never grows the
 // formula: a variable is eliminated only when the non-tautological
 // resolvents number at most the clauses they replace plus elimGrow.
+// Subsumption and elimination alternate for at most simplifyRounds
+// rounds.
 const (
 	simplifyProbeLimit = 4096
 	elimOccLimit       = 40
 	elimGrow           = 0
+	simplifyRounds     = 10
 )
 
 // elimRecord remembers, for one eliminated variable, the clauses in
@@ -136,6 +139,24 @@ type simplifier struct {
 	queue   []int // clause indices pending backward subsumption
 	inQueue []bool
 	units   []Lit // root assignments pending application to the working set
+	rounds  int   // subsumption/elimination rounds run() has started
+
+	// touched marks, per variable, that a clause containing it was added,
+	// killed or strengthened since the variable's last elimination
+	// attempt. Only touched variables can pass the elimination bound
+	// after failing it once (see eliminateRound).
+	touched []bool
+
+	// Scratch reused across calls, never retained: res holds the
+	// resolvents of the current elimination attempt back to back and
+	// resEnd their end offsets; cand and occBuf hold copies of
+	// occurrence lists that are edited while being walked; orig holds a
+	// clause's pre-strengthening literals for the proof.
+	res    []Lit
+	resEnd []int
+	cand   []int
+	occBuf []int
+	orig   []Lit
 }
 
 type simpClause struct {
@@ -145,14 +166,29 @@ type simpClause struct {
 
 func newSimplifier(s *Solver) *simplifier {
 	p := &simplifier{
-		s:   s,
-		occ: make([][]int, 2*len(s.assigns)),
+		s:       s,
+		occ:     make([][]int, 2*len(s.assigns)),
+		touched: make([]bool, len(s.assigns)),
 	}
+	for i := range p.touched {
+		p.touched[i] = true
+	}
+	// One literal slab for the working set, each clause a
+	// capacity-clipped segment so in-place strengthening stays inside
+	// it, and one slab presizing the occurrence lists.
+	nlits := 0
+	for _, c := range s.clauses {
+		if !c.deleted {
+			nlits += len(c.lits)
+		}
+	}
+	slab := make([]Lit, 0, nlits)
+	work := make([][]Lit, 0, len(s.clauses))
 	for _, c := range s.clauses {
 		if c.deleted {
 			continue
 		}
-		lits := make([]Lit, 0, len(c.lits))
+		lo := len(slab)
 		satisfied := false
 		for _, l := range c.lits {
 			switch s.value(l) {
@@ -161,16 +197,33 @@ func newSimplifier(s *Solver) *simplifier {
 			case False:
 				// drop
 			default:
-				lits = append(lits, l)
+				slab = append(slab, l)
 			}
 			if satisfied {
 				break
 			}
 		}
 		if satisfied {
+			slab = slab[:lo]
 			continue
 		}
-		sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+		lits := slab[lo:len(slab):len(slab)]
+		slices.Sort(lits)
+		work = append(work, lits)
+	}
+	occN := make([]int, len(p.occ))
+	for _, l := range slab {
+		occN[l]++
+	}
+	occSlab := make([]int, len(slab))
+	off := 0
+	for l, n := range occN {
+		p.occ[l] = occSlab[off : off : off+n]
+		off += n
+	}
+	p.cls = make([]simpClause, 0, len(work))
+	p.inQueue = make([]bool, 0, len(work))
+	for _, lits := range work {
 		p.addClause(lits)
 	}
 	// The working set replaces the watched representation entirely.
@@ -205,7 +258,15 @@ func (p *simplifier) addClause(lits []Lit) {
 		for _, l := range lits {
 			p.occ[l] = append(p.occ[l], ci)
 		}
+		p.touch(lits)
 		p.push(ci)
+	}
+}
+
+// touch marks every variable of lits for another elimination attempt.
+func (p *simplifier) touch(lits []Lit) {
+	for _, l := range lits {
+		p.touched[l.Var()] = true
 	}
 }
 
@@ -237,6 +298,16 @@ func (p *simplifier) kill(ci int) {
 	for _, l := range c.lits {
 		p.removeOcc(l, ci)
 	}
+	p.touch(c.lits)
+}
+
+// killAll kills every clause on list. It walks a copy: each kill edits
+// the occurrence lists, list among them.
+func (p *simplifier) killAll(list []int) {
+	p.occBuf = append(p.occBuf[:0], list...)
+	for _, ci := range p.occBuf {
+		p.kill(ci)
+	}
 }
 
 // removeLit strengthens clause ci by deleting literal l, killing the
@@ -253,8 +324,10 @@ func (p *simplifier) removeLit(ci int, l Lit) bool {
 	// in place, so the original is snapshotted first.
 	var orig []Lit
 	if p.s.proof != nil {
-		orig = append([]Lit(nil), c.lits...)
+		p.orig = append(p.orig[:0], c.lits...)
+		orig = p.orig
 	}
+	p.touch(c.lits)
 	p.removeOcc(l, ci)
 	lits := c.lits[:0]
 	for _, q := range c.lits {
@@ -302,10 +375,9 @@ func (p *simplifier) drainUnits() bool {
 			return false
 		}
 		p.s.uncheckedEnqueue(l, nil)
-		for _, ci := range append([]int(nil), p.occ[l]...) {
-			p.kill(ci)
-		}
-		for _, ci := range append([]int(nil), p.occ[l.Neg()]...) {
+		p.killAll(p.occ[l])
+		p.occBuf = append(p.occBuf[:0], p.occ[l.Neg()]...)
+		for _, ci := range p.occBuf {
 			if !p.removeLit(ci, l.Neg()) {
 				return false
 			}
@@ -320,7 +392,8 @@ func (p *simplifier) run() bool {
 	if !p.drainUnits() {
 		return false
 	}
-	for round := 0; round < 10; round++ {
+	for p.rounds < simplifyRounds {
+		p.rounds++
 		if !p.subsumeAll() {
 			return false
 		}
@@ -354,9 +427,8 @@ func (p *simplifier) subsumeAll() bool {
 		// Candidates containing best are (possibly self-) subsumed;
 		// candidates containing ¬best can only be strengthened with the
 		// flip on best itself, which the merge walk also detects.
-		cand := append([]int(nil), p.occ[best]...)
-		cand = append(cand, p.occ[best.Neg()]...)
-		for _, di := range cand {
+		p.cand = append(append(p.cand[:0], p.occ[best]...), p.occ[best.Neg()]...)
+		for _, di := range p.cand {
 			if di == ci || p.cls[di].dead || c.dead {
 				continue
 			}
@@ -418,11 +490,17 @@ func subsume(c, d []Lit) (flip Lit, ok bool) {
 }
 
 // eliminateRound attempts bounded variable elimination on every
-// non-frozen, unassigned variable, returning how many were eliminated.
+// non-frozen, unassigned, touched variable, returning how many were
+// eliminated. Skipping untouched variables is exact, not a heuristic:
+// whether tryEliminate(v) succeeds depends only on the clauses in v's
+// two occurrence lists, and every edit to those lists or to a clause on
+// them touches v. An untouched variable therefore fails again exactly
+// as it failed last time, and the rounds, the elimination order and the
+// resulting formula are those of trying every variable.
 func (p *simplifier) eliminateRound() int {
 	eliminated := 0
 	for v := Var(0); int(v) < len(p.s.assigns); v++ {
-		if p.s.frozen[v] || p.s.eliminated[v] || p.s.assigns[v] != Unknown {
+		if !p.touched[v] || p.s.frozen[v] || p.s.eliminated[v] || p.s.assigns[v] != Unknown {
 			continue
 		}
 		if p.tryEliminate(v) {
@@ -441,29 +519,42 @@ func (p *simplifier) eliminateRound() int {
 // tryEliminate resolves v out of the formula when the set of
 // non-tautological resolvents of its positive and negative occurrence
 // lists is no larger than the clauses they replace (plus elimGrow). The
-// positive occurrence snapshots go on the elimination stack for model
-// reconstruction.
+// resolvents are counted by merging into the reused res buffer, which
+// is abandoned as soon as the count passes the bound; only an actual
+// elimination copies them out as clauses. The positive occurrence
+// snapshots go on the elimination stack for model reconstruction.
 func (p *simplifier) tryEliminate(v Var) bool {
+	p.touched[v] = false
 	pos := p.occ[PosLit(v)]
 	neg := p.occ[NegLit(v)]
 	if len(pos)+len(neg) > elimOccLimit {
 		return false
 	}
 	limit := len(pos) + len(neg) + elimGrow
-	resolvents := make([][]Lit, 0, limit)
+	p.res, p.resEnd = p.res[:0], p.resEnd[:0]
 	for _, ci := range pos {
 		for _, di := range neg {
-			r, ok := resolve(p.cls[ci].lits, p.cls[di].lits, v)
+			var ok bool
+			p.res, ok = appendResolvent(p.res, p.cls[ci].lits, p.cls[di].lits, v)
 			if !ok {
 				continue
 			}
-			resolvents = append(resolvents, r)
-			if len(resolvents) > limit {
+			p.resEnd = append(p.resEnd, len(p.res))
+			if len(p.resEnd) > limit {
 				return false
 			}
 		}
 	}
 
+	// Copy the resolvents out of the scratch buffer into one slab of
+	// capacity-clipped clauses (strengthening later shrinks them in place).
+	slab := append([]Lit(nil), p.res...)
+	resolvents := make([][]Lit, len(p.resEnd))
+	lo := 0
+	for i, hi := range p.resEnd {
+		resolvents[i] = slab[lo:hi:hi]
+		lo = hi
+	}
 	// Proof: resolvents are RUP while both parents are still present, so
 	// each addition is logged before the occurrence lists are deleted
 	// (the kills below log the Deletes). addClause does not emit.
@@ -476,12 +567,8 @@ func (p *simplifier) tryEliminate(v Var) bool {
 	for _, ci := range pos {
 		rec.pos = append(rec.pos, append([]Lit(nil), p.cls[ci].lits...))
 	}
-	for _, ci := range append([]int(nil), pos...) {
-		p.kill(ci)
-	}
-	for _, ci := range append([]int(nil), neg...) {
-		p.kill(ci)
-	}
+	p.killAll(pos)
+	p.killAll(neg)
 	p.s.eliminated[v] = true
 	p.s.elimStack = append(p.s.elimStack, rec)
 	p.s.stats.ElimVars++
@@ -491,33 +578,35 @@ func (p *simplifier) tryEliminate(v Var) bool {
 	return true
 }
 
-// resolve returns the resolvent of a and b on pivot v (both sorted),
-// deduped and re-sorted; ok is false for tautological resolvents.
-func resolve(a, b []Lit, v Var) (out []Lit, ok bool) {
-	out = make([]Lit, 0, len(a)+len(b)-2)
-	for _, l := range a {
-		if l.Var() != v {
-			out = append(out, l)
+// appendResolvent appends the resolvent of a and b on pivot v to dst and
+// reports ok. Both clauses are sorted ascending, so a linear merge that
+// skips the pivot yields the resolvent sorted, and duplicates arrive
+// adjacent; so do complementary literals, as PosLit(x) and NegLit(x) are
+// consecutive. A tautological resolvent truncates dst back to its
+// original length and reports false.
+func appendResolvent(dst, a, b []Lit, v Var) ([]Lit, bool) {
+	start := len(dst)
+	prev := LitUndef
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var l Lit
+		if j == len(b) || i < len(a) && a[i] <= b[j] {
+			l = a[i]
+			i++
+		} else {
+			l = b[j]
+			j++
 		}
-	}
-	for _, l := range b {
-		if l.Var() != v {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i := 0; i < len(out); i++ {
-		if w > 0 && out[i] == out[w-1] {
+		if l.Var() == v || l == prev {
 			continue
 		}
-		if w > 0 && out[i] == out[w-1].Neg() {
-			return nil, false
+		if prev != LitUndef && l == prev.Neg() {
+			return dst[:start], false
 		}
-		out[w] = out[i]
-		w++
+		dst = append(dst, l)
+		prev = l
 	}
-	return out[:w], true
+	return dst, true
 }
 
 // rebuild installs the surviving working clauses as the solver's clause

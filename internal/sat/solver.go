@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -290,7 +291,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	// literals and root-satisfied clauses.
 	tmp := make([]Lit, len(lits))
 	copy(tmp, lits)
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp)
 	ded := tmp[:0]
 	var prev Lit = LitUndef
 	for _, l := range tmp {
