@@ -123,3 +123,29 @@ func BenchmarkSimplifyIEEE57(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCloneIEEE57 times the per-query copy of a shared snapshot:
+// each iteration clones the presimplified IEEE-57 (seed 57007)
+// observability snapshot encoder, solver included, as the encoding
+// cache does for every query it serves.
+func BenchmarkCloneIEEE57(b *testing.B) {
+	cfg, err := synth.Generate(synth.Params{Bus: powergrid.IEEE57(), Seed: 57007, Hierarchy: 2, SecureFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true), core.WithEncodingCache(core.NewEncodingCache()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := a.SnapshotEncoder(core.Query{Property: core.Observability, Combined: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := enc.Clone(); c.Solver().NumVars() != enc.Solver().NumVars() {
+			b.Fatal("clone lost variables")
+		}
+	}
+}
