@@ -15,7 +15,6 @@ import (
 type Encoder struct {
 	solver  *sat.Solver
 	vars    map[string]sat.Var
-	names   []string // var index -> name ("" for auxiliaries)
 	cache   map[*Formula]sat.Lit
 	hasTrue bool
 	litTrue sat.Lit
@@ -67,7 +66,6 @@ func (e *Encoder) Clone() *Encoder {
 	return &Encoder{
 		solver:  e.solver.Clone(),
 		vars:    vars,
-		names:   append([]string(nil), e.names...),
 		cache:   make(map[*Formula]sat.Lit),
 		hasTrue: e.hasTrue,
 		litTrue: e.litTrue,
@@ -82,20 +80,10 @@ func (e *Encoder) VarLit(name string) sat.Lit {
 	}
 	v := e.solver.NewVar()
 	e.vars[name] = v
-	for len(e.names) <= int(v) {
-		e.names = append(e.names, "")
-	}
-	e.names[v] = name
 	return sat.PosLit(v)
 }
 
-func (e *Encoder) fresh() sat.Lit {
-	v := e.solver.NewVar()
-	for len(e.names) <= int(v) {
-		e.names = append(e.names, "")
-	}
-	return sat.PosLit(v)
-}
+func (e *Encoder) fresh() sat.Lit { return sat.PosLit(e.solver.NewVar()) }
 
 func (e *Encoder) constTrue() sat.Lit {
 	if !e.hasTrue {

@@ -416,3 +416,32 @@ func TestSharedSubformulaEncodedOnce(t *testing.T) {
 		t.Fatalf("shared subformula re-encoded: %d new vars", after-before)
 	}
 }
+
+// TestCloneKeepsNamesIndependent: after a clone, the parent and the
+// clone each introduce a named variable. Both get the same solver index,
+// yet each encoder resolves only its own name, in Value and in Model.
+func TestCloneKeepsNamesIndependent(t *testing.T) {
+	parent := NewEncoder()
+	parent.Assert(Or(V("a"), V("b")))
+	clone := parent.Clone()
+	parent.Assert(V("p"))
+	clone.Assert(V("c"))
+	if pl, cl := parent.VarLit("p"), clone.VarLit("c"); pl != cl {
+		t.Fatalf("parent p = %v, clone c = %v: want the same fresh index", pl, cl)
+	}
+	for _, tc := range []struct {
+		e          *Encoder
+		own, other string
+	}{{parent, "p", "c"}, {clone, "c", "p"}} {
+		if tc.e.Solve() != sat.Sat {
+			t.Fatal("want sat")
+		}
+		if tc.e.Value(tc.own) != sat.True || tc.e.Value(tc.other) != sat.Unknown {
+			t.Fatalf("%s: Value(%s) = %v, Value(%s) = %v", tc.own, tc.own, tc.e.Value(tc.own), tc.other, tc.e.Value(tc.other))
+		}
+		m := tc.e.Model()
+		if _, ok := m[tc.other]; ok || !m[tc.own] || len(m) != 3 {
+			t.Fatalf("%s: model %v", tc.own, m)
+		}
+	}
+}

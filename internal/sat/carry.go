@@ -53,12 +53,7 @@ func (s *Solver) AdoptActivity(a []float64) {
 		return
 	}
 	copy(s.activity, a)
-	s.order = newActivityHeap(&s.activity)
-	for v := Var(0); v < Var(len(s.assigns)); v++ {
-		if s.assigns[v] == Unknown && !s.eliminated[v] {
-			s.order.push(v)
-		}
-	}
+	s.resetOrder()
 }
 
 // HarvestLearnts copies up to limit learned clauses whose variables all
@@ -74,16 +69,16 @@ func (s *Solver) HarvestLearnts(maxVar, maxLen, limit int) [][]Lit {
 	}
 	out := make([][]Lit, 0, min(limit, len(s.learned)))
 	for _, c := range s.learned {
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
-		if maxLen > 0 && len(c.lits) > maxLen {
+		if maxLen > 0 && s.ca.size(c) > maxLen {
 			continue
 		}
 		ok := true
 		if maxVar > 0 {
-			for _, l := range c.lits {
-				if int(l.Var()) >= maxVar {
+			for _, w := range s.ca.lits(c) {
+				if int(Lit(w).Var()) >= maxVar {
 					ok = false
 					break
 				}
@@ -92,7 +87,7 @@ func (s *Solver) HarvestLearnts(maxVar, maxLen, limit int) [][]Lit {
 		if !ok {
 			continue
 		}
-		out = append(out, append([]Lit(nil), c.lits...))
+		out = append(out, s.ca.appendLits(make([]Lit, 0, s.ca.size(c)), c))
 		if len(out) >= limit {
 			break
 		}
@@ -155,12 +150,13 @@ func (s *Solver) ImportLearnts(cands [][]Lit) int {
 		case 0:
 			s.markRootUnsat()
 		case 1:
-			s.uncheckedEnqueue(lits[0], nil)
-			if s.propagate() != nil {
+			s.uncheckedEnqueue(lits[0], 0)
+			if s.propagate() != 0 {
 				s.markRootUnsat()
 			}
 		default:
-			c := &clause{lits: lits, learned: true, lbd: int32(len(lits))}
+			c := s.ca.alloc(lits, true)
+			s.ca.setLBD(c, int32(len(lits)))
 			s.learned = append(s.learned, c)
 			s.attach(c)
 		}

@@ -34,10 +34,9 @@ func TestHarvestLearnts(t *testing.T) {
 	if st := s.Solve(lit(0, false), lit(2, true)); st != Unsat {
 		t.Fatalf("chain with x0 ∧ ¬x2: got %v, want Unsat", st)
 	}
-	s.learned = append(s.learned,
-		&clause{lits: []Lit{lit(0, true), lit(2, false)}, learned: true},
-		&clause{lits: []Lit{lit(0, true), lit(1, false), lit(2, false)}, learned: true, deleted: true},
-	)
+	dead := s.ca.alloc([]Lit{lit(0, true), lit(1, false), lit(2, false)}, true)
+	s.ca.markDeleted(dead)
+	s.learned = append(s.learned, s.ca.alloc([]Lit{lit(0, true), lit(2, false)}, true), dead)
 	all := s.HarvestLearnts(0, 0, 100)
 	for _, c := range all {
 		if len(c) == 0 {

@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // Clone returns an independent deep copy of the solver at the root
 // level: variables, root-level assignments, problem and learned clauses,
 // watches, activities, saved phases, and the elimination stack of a
@@ -29,77 +31,63 @@ func (s *Solver) Clone() *Solver {
 		lubyIdx:        s.lubyIdx,
 		conflictBudget: s.conflictBudget,
 		rootUnsat:      s.rootUnsat,
-		levelSeen:      make(map[int]bool, 32),
 		assigns:        append([]Tribool(nil), s.assigns...),
 		level:          append([]int(nil), s.level...),
-		reason:         make([]*clause, nv),
+		reason:         make([]cref, nv),
 		trail:          append([]Lit(nil), s.trail...),
 		activity:       append([]float64(nil), s.activity...),
 		polarity:       append([]bool(nil), s.polarity...),
 		seen:           make([]bool, nv),
 		frozen:         append([]bool(nil), s.frozen...),
 		eliminated:     append([]bool(nil), s.eliminated...),
-		elimStack:      append([]elimRecord(nil), s.elimStack...),
+		elimStack:      slices.Clip(s.elimStack), // append-only, so shared capacity-clipped
 		watches:        make([][]watcher, 2*nv),
+		wn:             make([]int32, 2*nv),
 	}
 	n.qhead = len(n.trail)
-	n.order = newActivityHeap(&n.activity)
-	for v := Var(0); int(v) < nv; v++ {
-		if n.assigns[v] == Unknown && !n.eliminated[v] {
-			n.order.push(v)
-		}
-	}
+	n.resetOrder()
 	// The delta cache clones per sealed snapshot and again per query, so
-	// this copy is hot. Arena allocation keeps it cheap: one clause slab
-	// and one literal slab per database (two allocations instead of two
-	// PER CLAUSE), and the watch lists are pre-partitioned from a shared
-	// watcher buffer so attach never grows a slice. Each clause's literal
-	// slice is capacity-clipped to its segment: in-place shrinks (vivify,
-	// ReduceRoot) stay inside it, and an append-growth would copy out
-	// rather than stomp its neighbor.
-	live, nlits := 0, 0
-	count := func(src []*clause) {
+	// this copy is hot. The live clauses are copied word for word into
+	// one exactly sized arena (deleted clauses still on a list are left
+	// behind), and the watch lists are pre-partitioned from one shared
+	// watcher buffer so attach never grows a list.
+	live, words := 0, 1
+	count := func(src []cref) {
 		for _, c := range src {
-			if !c.deleted {
+			if !s.ca.deleted(c) {
 				live++
-				nlits += len(c.lits)
+				words += s.ca.words(c)
 			}
 		}
 	}
 	count(s.clauses)
 	count(s.learned)
 	if live > 0 {
-		arena := make([]clause, 0, live)
-		lits := make([]Lit, 0, nlits)
+		mem := make([]uint32, 1, words)
 		wcount := make([]int32, 2*nv)
-		copyDB := func(src []*clause, learned bool) []*clause {
-			out := make([]*clause, 0, len(src))
+		copyDB := func(src []cref) []cref {
+			out := make([]cref, 0, len(src))
 			for _, c := range src {
-				if c.deleted {
+				if s.ca.deleted(c) {
 					continue
 				}
-				lo := len(lits)
-				lits = append(lits, c.lits...)
-				arena = append(arena, clause{
-					lits: lits[lo:len(lits):len(lits)],
-					act:  c.act, lbd: c.lbd, learned: learned,
-				})
-				cc := &arena[len(arena)-1]
-				out = append(out, cc)
-				wcount[cc.lits[0].Neg()]++
-				wcount[cc.lits[1].Neg()]++
+				out = append(out, cref(len(mem)))
+				mem = append(mem, s.ca.mem[c:int(c)+s.ca.words(c)]...)
+				wcount[s.ca.lit(c, 0).Neg()]++
+				wcount[s.ca.lit(c, 1).Neg()]++
 			}
 			return out
 		}
-		n.clauses = copyDB(s.clauses, false)
-		n.learned = copyDB(s.learned, true)
+		n.clauses = copyDB(s.clauses)
+		n.learned = copyDB(s.learned)
+		n.ca.mem = mem
 		wbuf := make([]watcher, 2*live)
 		off := 0
 		for i, w := range wcount {
 			if w == 0 {
 				continue
 			}
-			n.watches[i] = wbuf[off : off : off+int(w)]
+			n.watches[i] = wbuf[off : off+int(w) : off+int(w)]
 			off += int(w)
 		}
 		for _, c := range n.clauses {

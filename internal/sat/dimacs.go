@@ -76,8 +76,8 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		return err
 	}
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
-			if _, err := bw.WriteString(l.String()); err != nil {
+		for _, w := range s.ca.lits(c) {
+			if _, err := bw.WriteString(Lit(w).String()); err != nil {
 				return err
 			}
 			if err := bw.WriteByte(' '); err != nil {

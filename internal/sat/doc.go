@@ -13,6 +13,18 @@
 // sums, so a SAT back-end (fed by package logic's Tseitin and
 // sequential-counter encodings) decides exactly the same fragment.
 //
+// # Clause store
+//
+// Clauses live in one flat, pointer-free arena of uint32 words and are
+// named by their 32-bit offset (a cref); watchers, reasons and the
+// clause lists hold crefs, so the garbage collector never scans the
+// clause database and propagation stores run no write barrier.
+// Deleted clauses leave waste that is compacted away, with every cref
+// relocated in place, once it passes a quarter of the arena. The store
+// is invisible to the search: the same trail, conflicts, learned
+// clauses, models and proofs as a pointer-per-clause layout (DESIGN.md
+// §11, "The clause store").
+//
 // # Preprocessing and snapshots
 //
 // Simplify runs a SatELite-style preprocessing pass in place — unit

@@ -13,6 +13,23 @@ func newActivityHeap(act *[]float64) *activityHeap {
 	return &activityHeap{act: act}
 }
 
+// resetOrder rebuilds the decision heap over s's activity, pushing every
+// unassigned, uneliminated variable in index order into arrays sized
+// once.
+func (s *Solver) resetOrder() {
+	nv := len(s.assigns)
+	h := &activityHeap{act: &s.activity, heap: make([]Var, 0, nv), pos: make([]int, nv)}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	s.order = h
+	for v := Var(0); int(v) < nv; v++ {
+		if s.assigns[v] == Unknown && !s.eliminated[v] {
+			h.push(v)
+		}
+	}
+}
+
 func (h *activityHeap) grow(n int) {
 	for len(h.pos) < n {
 		h.pos = append(h.pos, -1)

@@ -279,13 +279,14 @@ func (s *Solver) importShared(ring *exchangeRing, cursor *uint64, self int) {
 			s.markRootUnsat()
 			return
 		case 1:
-			s.uncheckedEnqueue(lits[0], nil)
-			if s.propagate() != nil {
+			s.uncheckedEnqueue(lits[0], 0)
+			if s.propagate() != 0 {
 				s.markRootUnsat()
 				return
 			}
 		default:
-			c := &clause{lits: lits, learned: true, lbd: e.lbd}
+			c := s.ca.alloc(lits, true)
+			s.ca.setLBD(c, e.lbd)
 			s.learned = append(s.learned, c)
 			s.attach(c)
 		}
@@ -539,6 +540,7 @@ func (s *Solver) SolvePortfolio(opts PortfolioOptions, assumptions ...Lit) (Stat
 // race's wall clock so phase accounting reflects elapsed time rather
 // than the sum over replicas.
 func (s *Solver) adopt(w *Solver, wall time.Duration) {
+	s.ca = w.ca
 	s.clauses = w.clauses
 	s.learned = w.learned
 	s.assigns = w.assigns
@@ -548,6 +550,7 @@ func (s *Solver) adopt(w *Solver, wall time.Duration) {
 	s.trailLim = w.trailLim
 	s.qhead = w.qhead
 	s.watches = w.watches
+	s.wn = w.wn
 	s.activity = w.activity
 	s.varInc = w.varInc
 	s.clauseInc = w.clauseInc
@@ -558,12 +561,7 @@ func (s *Solver) adopt(w *Solver, wall time.Duration) {
 	s.rootUnsat = w.rootUnsat
 	// The activity heap holds a pointer to its owner's activity slice;
 	// rebuild it over s's (now adopted) slice.
-	s.order = newActivityHeap(&s.activity)
-	for v := Var(0); int(v) < len(s.assigns); v++ {
-		if s.assigns[v] == Unknown && !s.eliminated[v] {
-			s.order.push(v)
-		}
-	}
+	s.resetOrder()
 	delta := w.Stats()
 	delta.SolveTime = wall
 	s.stats = s.stats.add(delta)

@@ -139,10 +139,18 @@ func (s *Solver) rupImplied(lits []Lit) bool {
 	s.trailLim = append(s.trailLim, len(s.trail))
 	for _, l := range lits {
 		if s.value(l) == Unknown {
-			s.uncheckedEnqueue(l.Neg(), nil)
+			s.uncheckedEnqueue(l.Neg(), 0)
 		}
 	}
-	conflict := s.propagate() != nil
+	conflict := s.propagate() != 0
 	s.cancelUntil(0)
 	return conflict
+}
+
+// proofClause forwards clause c of the arena as one step, if armed.
+func (s *Solver) proofClause(op ProofOp, c cref) {
+	if s.proof != nil {
+		s.proofBuf = s.ca.appendLits(s.proofBuf[:0], c)
+		s.proof.Step(op, s.proofBuf)
+	}
 }

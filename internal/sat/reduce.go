@@ -30,20 +30,21 @@ func (s *Solver) ReduceRoot() bool {
 	if s.rootUnsat {
 		return false
 	}
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		s.markRootUnsat()
 		return false
 	}
 
 	kept := s.clauses[:0]
 	for _, c := range s.clauses {
-		if c.deleted {
+		if s.ca.deleted(c) {
+			s.ca.drop(c)
 			continue
 		}
 		satisfied := false
 		falseLits := 0
-		for _, l := range c.lits {
-			switch s.value(l) {
+		for _, w := range s.ca.lits(c) {
+			switch s.value(Lit(w)) {
 			case True:
 				satisfied = true
 			case False:
@@ -56,25 +57,33 @@ func (s *Solver) ReduceRoot() bool {
 		switch {
 		case satisfied:
 			s.detach(c)
-			s.proofStep(ProofDelete, c.lits)
-			c.deleted = true
+			s.proofClause(ProofDelete, c)
+			s.ca.markDeleted(c)
+			s.ca.drop(c)
 		case falseLits > 0:
 			// Detach while the watched literals are still at positions 0
-			// and 1, then rebuild the literal slice; the survivors are all
-			// root-unassigned, so any two of them may be watched.
+			// and 1, then keep the survivors in place, in order; they are
+			// all root-unassigned, so any two of them may be watched.
 			s.detach(c)
-			lits := make([]Lit, 0, len(c.lits)-falseLits)
-			for _, l := range c.lits {
-				if s.value(l) != False {
-					lits = append(lits, l)
+			var orig []Lit
+			if s.proof != nil {
+				s.origBuf = s.ca.appendLits(s.origBuf[:0], c)
+				orig = s.origBuf
+			}
+			lits := s.ca.lits(c)
+			j := 0
+			for _, w := range lits {
+				if s.value(Lit(w)) != False {
+					lits[j] = w
+					j++
 				}
 			}
+			s.ca.shrink(c, j)
 			// Add-before-Delete keeps the proof step RUP: assuming the
 			// strengthened clause false falsifies the original under the
 			// root units already on the trail.
-			s.proofStep(ProofAdd, lits)
-			s.proofStep(ProofDelete, c.lits)
-			c.lits = lits
+			s.proofClause(ProofAdd, c)
+			s.proofStep(ProofDelete, orig)
 			s.attach(c)
 			kept = append(kept, c)
 		default:
@@ -87,9 +96,10 @@ func (s *Solver) ReduceRoot() bool {
 	// clauses that may have just been strengthened away; drop the reason
 	// pointers like Simplify's rebuild does.
 	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
+		s.reason[l.Var()] = 0
 	}
 	s.qhead = len(s.trail)
+	s.maybeCompact()
 	return true
 }
 
@@ -110,7 +120,7 @@ func (s *Solver) ProbeRoot(maxProbes int) bool {
 	if s.rootUnsat {
 		return false
 	}
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		s.markRootUnsat()
 		return false
 	}

@@ -71,7 +71,7 @@ func (s *Solver) Simplify() bool {
 	if s.rootUnsat {
 		return false
 	}
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		s.markRootUnsat()
 		return false
 	}
@@ -108,18 +108,18 @@ func (s *Solver) probeFailedLiterals(maxProbes int) {
 			}
 			probes++
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(l, nil)
+			s.uncheckedEnqueue(l, 0)
 			conflict := s.propagate()
 			s.cancelUntil(0)
-			if conflict == nil {
+			if conflict == 0 {
 				continue
 			}
 			s.stats.FailedLits++
 			// A failed literal's negation is a RUP unit: assuming l and
 			// propagating is exactly the RUP check of {¬l}.
 			s.proofStep(ProofAdd, []Lit{l.Neg()})
-			s.uncheckedEnqueue(l.Neg(), nil)
-			if s.propagate() != nil {
+			s.uncheckedEnqueue(l.Neg(), 0)
+			if s.propagate() != 0 {
 				s.markRootUnsat()
 				return
 			}
@@ -178,20 +178,20 @@ func newSimplifier(s *Solver) *simplifier {
 	// it, and one slab presizing the occurrence lists.
 	nlits := 0
 	for _, c := range s.clauses {
-		if !c.deleted {
-			nlits += len(c.lits)
+		if !s.ca.deleted(c) {
+			nlits += s.ca.size(c)
 		}
 	}
 	slab := make([]Lit, 0, nlits)
 	work := make([][]Lit, 0, len(s.clauses))
 	for _, c := range s.clauses {
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
 		lo := len(slab)
 		satisfied := false
-		for _, l := range c.lits {
-			switch s.value(l) {
+		for _, w := range s.ca.lits(c) {
+			switch l := Lit(w); s.value(l) {
 			case True:
 				satisfied = true
 			case False:
@@ -229,13 +229,11 @@ func newSimplifier(s *Solver) *simplifier {
 	// The working set replaces the watched representation entirely.
 	// Discarded learned clauses are logged as deletions so a forward
 	// checker's database tracks the solver's.
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
+	clear(s.wn)
 	if s.proof != nil {
 		for _, c := range s.learned {
-			if !c.deleted {
-				s.proofStep(ProofDelete, c.lits)
+			if !s.ca.deleted(c) {
+				s.proofClause(ProofDelete, c)
 			}
 		}
 	}
@@ -374,7 +372,7 @@ func (p *simplifier) drainUnits() bool {
 			p.s.markRootUnsat()
 			return false
 		}
-		p.s.uncheckedEnqueue(l, nil)
+		p.s.uncheckedEnqueue(l, 0)
 		p.killAll(p.occ[l])
 		p.occBuf = append(p.occBuf[:0], p.occ[l.Neg()]...)
 		for _, ci := range p.occBuf {
@@ -610,25 +608,34 @@ func appendResolvent(dst, a, b []Lit, v Var) ([]Lit, bool) {
 }
 
 // rebuild installs the surviving working clauses as the solver's clause
-// database and re-attaches watches. Root-level reasons are cleared: the
-// antecedent clauses no longer exist, and conflict analysis never
-// resolves on level-0 assignments anyway.
+// database, in a fresh, exactly sized arena, and re-attaches watches.
+// Root-level reasons are cleared: the antecedent clauses no longer
+// exist, and conflict analysis never resolves on level-0 assignments
+// anyway.
 func (p *simplifier) rebuild() {
 	s := p.s
 	s.clauses = s.clauses[:0]
+	s.ca = clauseArena{}
+	for _, l := range s.trail {
+		s.reason[l.Var()] = 0
+	}
 	if s.rootUnsat {
 		return
 	}
+	words := 1
+	for i := range p.cls {
+		if !p.cls[i].dead {
+			words += clHeader + len(p.cls[i].lits)
+		}
+	}
+	s.ca.mem = make([]uint32, 0, words)
 	for i := range p.cls {
 		if p.cls[i].dead {
 			continue
 		}
-		c := &clause{lits: p.cls[i].lits}
+		c := s.ca.alloc(p.cls[i].lits, false)
 		s.clauses = append(s.clauses, c)
 		s.attach(c)
-	}
-	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
 	}
 	s.qhead = len(s.trail)
 }

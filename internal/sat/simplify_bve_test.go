@@ -127,7 +127,7 @@ func TestSimplifyReachesElimFixpoint(t *testing.T) {
 		for _, v := range vars[:rng.Intn(4)] {
 			s.Freeze(v)
 		}
-		if s.propagate() != nil {
+		if s.propagate() != 0 {
 			continue
 		}
 		p := newSimplifier(s)

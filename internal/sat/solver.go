@@ -12,20 +12,26 @@ import (
 // (optionally with assumption literals). After a Sat answer, Value and
 // Model expose the satisfying assignment.
 type Solver struct {
-	// Clause database.
-	clauses []*clause // problem clauses
-	learned []*clause // learned clauses
+	// Clause database: the pointer-free arena holding every clause
+	// (arena.go) and the two lists naming them.
+	ca      clauseArena
+	clauses []cref // problem clauses
+	learned []cref // learned clauses
 
 	// Assignment state.
 	assigns  []Tribool // var -> current value
 	level    []int     // var -> decision level of assignment
-	reason   []*clause // var -> antecedent clause (nil for decisions)
+	reason   []cref    // var -> antecedent clause (0 for decisions and root facts)
 	trail    []Lit     // assignment stack
 	trailLim []int     // decision-level boundaries in trail
 	qhead    int       // propagation queue head (index into trail)
 
 	// Watches: literal -> clauses watching that literal's negation.
+	// Each watches[l] is a full-length backing array whose first wn[l]
+	// entries are live, so propagate and attach update a length and
+	// store a slice header only when a list grows (pushWatch).
 	watches [][]watcher
+	wn      []int32
 
 	// Decision heuristic.
 	activity []float64
@@ -43,7 +49,17 @@ type Solver struct {
 	seen        []bool
 	analyzeTmp  []Lit
 	minimizeTmp []Lit // reusable snapshot buffer for clause minimization
-	levelSeen   map[int]bool
+	// computeLBD marks a decision level as counted by writing the
+	// current lbdStamp into levelStamp[level+1].
+	levelStamp []uint32
+	lbdStamp   uint32
+
+	// Scratch literal buffers, never retained: addTmp normalizes
+	// AddClause input; proofBuf and origBuf hold clause literals handed
+	// to the proof writer.
+	addTmp   []Lit
+	proofBuf []Lit
+	origBuf  []Lit
 
 	// Preprocessing state (see simplify.go). Frozen variables are exempt
 	// from elimination because callers will still refer to them in future
@@ -120,7 +136,6 @@ func New() *Solver {
 		clauseDecay: 0.999,
 		maxLearned:  4000,
 		restartBase: 100,
-		levelSeen:   make(map[int]bool, 32),
 	}
 	s.order = newActivityHeap(&s.activity)
 	return s
@@ -131,11 +146,12 @@ func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, Unknown)
 	s.level = append(s.level, -1)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, 0)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.wn = append(s.wn, 0, 0)
 	s.frozen = append(s.frozen, false)
 	s.eliminated = append(s.eliminated, false)
 	s.order.push(v)
@@ -289,8 +305,8 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	// own propagation, making the filtered clause the solver stores
 	// propagation-equivalent). The second pass drops root-false
 	// literals and root-satisfied clauses.
-	tmp := make([]Lit, len(lits))
-	copy(tmp, lits)
+	tmp := append(s.addTmp[:0], lits...)
+	s.addTmp = tmp
 	slices.Sort(tmp)
 	ded := tmp[:0]
 	var prev Lit = LitUndef
@@ -310,6 +326,9 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		ded = append(ded, l)
 		prev = l
 	}
+	if !s.ca.room(len(ded)) {
+		return fmt.Errorf("sat: clause database exceeds 2^32 words")
+	}
 	s.proofStep(ProofInput, ded)
 	out := ded[:0]
 	for _, l := range ded {
@@ -326,30 +345,44 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.markRootUnsat()
 		return nil
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], 0)
+		if s.propagate() != 0 {
 			s.markRootUnsat()
 		}
 		return nil
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.ca.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return nil
 }
 
-func (s *Solver) attach(c *clause) {
+func (s *Solver) attach(c cref) {
 	// Watch the first two literals. Watch lists are indexed by the
 	// negation of the watched literal: when that literal becomes false
 	// the clause must be inspected.
-	w0, w1 := c.lits[0], c.lits[1]
-	s.watches[w0.Neg()] = append(s.watches[w0.Neg()], watcher{c: c, blocker: w1})
-	s.watches[w1.Neg()] = append(s.watches[w1.Neg()], watcher{c: c, blocker: w0})
+	w0, w1 := s.ca.lit(c, 0), s.ca.lit(c, 1)
+	s.pushWatch(w0.Neg(), watcher{c: c, blocker: int32(w1)})
+	s.pushWatch(w1.Neg(), watcher{c: c, blocker: int32(w0)})
+}
+
+// pushWatch appends w to the watch list of l. Only growth replaces the
+// list's backing array; otherwise the store is pointer-free.
+func (s *Solver) pushWatch(l Lit, w watcher) {
+	n := s.wn[l]
+	ws := s.watches[l]
+	if int(n) == len(ws) {
+		ws = append(ws, w)
+		s.watches[l] = ws[:cap(ws)]
+	} else {
+		ws[n] = w
+	}
+	s.wn[l] = n + 1
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Sign() {
 		s.assigns[v] = False
@@ -362,29 +395,34 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil if a fixpoint was reached without conflict.
-func (s *Solver) propagate() *clause {
+// 0 if a fixpoint was reached without conflict.
+func (s *Solver) propagate() cref {
+	ca := s.ca.mem
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; clauses watching p must move
 		s.qhead++
-		ws := s.watches[p]
-		kept := ws[:0]
-		var conflict *clause
+		ws := s.watches[p][:s.wn[p]]
+		j := 0
+		var conflict cref
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if conflict != nil {
-				kept = append(kept, ws[wi:]...)
+			if conflict != 0 {
+				j += copy(ws[j:], ws[wi:])
 				break
 			}
-			if s.value(w.blocker) == True {
-				kept = append(kept, w)
+			blocker := Lit(w.blocker)
+			if s.value(blocker) == True {
+				ws[j] = w
+				j++
 				continue
 			}
 			c := w.c
-			if c.deleted {
+			h := ca[c]
+			if h&clDeleted != 0 {
 				continue
 			}
-			if len(c.lits) == 2 {
+			b := int(c) + clHeader
+			if h>>clSizeShift == 2 {
 				// Binary fast path: the blocker is the other literal (attach
 				// keeps this invariant — binary clauses never move watches),
 				// and it is not True (checked above), so the clause is unit
@@ -392,38 +430,40 @@ func (s *Solver) propagate() *clause {
 				// the grid encodings' clauses have <= 3 literals, so this
 				// skips the watch-move machinery for the bulk of the
 				// propagation traffic.
-				kept = append(kept, w)
-				if s.value(w.blocker) == False {
+				bl := ca[b : b+2 : b+2]
+				ws[j] = w
+				j++
+				if s.value(blocker) == False {
 					conflict = c
 					s.qhead = len(s.trail)
 					continue
 				}
-				if c.lits[0] != w.blocker {
+				if Lit(bl[0]) != blocker {
 					// Reason clauses carry the implied literal at slot 0
 					// (analyze relies on it).
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+					bl[0], bl[1] = bl[1], bl[0]
 				}
 				s.stats.Propagations++
-				s.uncheckedEnqueue(w.blocker, c)
+				s.uncheckedEnqueue(blocker, c)
 				continue
 			}
+			lits := ca[b : b+int(h>>clSizeShift)]
 			// Ensure the false watched literal is at position 1.
-			falseLit := p.Neg()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if falseLit := uint32(p.Neg()); lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == True {
-				kept = append(kept, watcher{c: c, blocker: first})
+			first := Lit(lits[0])
+			if first != blocker && s.value(first) == True {
+				ws[j] = watcher{c: c, blocker: int32(first)}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1]
-					s.watches[nw.Neg()] = append(s.watches[nw.Neg()], watcher{c: c, blocker: first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(Lit(lits[k])) != False {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.pushWatch(Lit(lits[1]).Neg(), watcher{c: c, blocker: int32(first)})
 					moved = true
 					break
 				}
@@ -432,7 +472,8 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c: c, blocker: first})
+			ws[j] = watcher{c: c, blocker: int32(first)}
+			j++
 			if s.value(first) == False {
 				conflict = c
 				s.qhead = len(s.trail)
@@ -441,12 +482,12 @@ func (s *Solver) propagate() *clause {
 			s.stats.Propagations++
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p] = kept
-		if conflict != nil {
+		s.wn[p] = int32(j)
+		if conflict != 0 {
 			return conflict
 		}
 	}
-	return nil
+	return 0
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -459,7 +500,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := l.Var()
 		s.polarity[v] = s.assigns[v] == False
 		s.assigns[v] = Unknown
-		s.reason[v] = nil
+		s.reason[v] = 0
 		s.level[v] = -1
 		s.order.push(v)
 	}
@@ -480,19 +521,21 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.clauseInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	act := s.ca.act(c) + s.clauseInc
+	s.ca.setAct(c, act)
+	if act > 1e20 {
 		for _, lc := range s.learned {
-			lc.act *= 1e-20
+			s.ca.setAct(lc, s.ca.act(lc)*1e-20)
 		}
 		s.clauseInc *= 1e-20
 	}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
+// clause (asserting literal first) and the backjump level. The clause
+// is scratch: it stays valid until the next analyze call.
+func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 	learnt := s.analyzeTmp[:0]
 	learnt = append(learnt, LitUndef) // slot for the asserting literal
 	counter := 0
@@ -502,11 +545,12 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 
 	for {
 		s.bumpClause(c)
-		start := 0
+		lits := s.ca.lits(c)
 		if p != LitUndef {
-			start = 1 // c.lits[0] is p for reason clauses
+			lits = lits[1:] // lits[0] is p for reason clauses
 		}
-		for _, q := range c.lits[start:] {
+		for _, w := range lits {
+			q := Lit(w)
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -532,10 +576,10 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 		}
 		c = s.reason[p.Var()]
 		// Reason clauses store the implied literal first; normalize.
-		if c.lits[0] != p {
-			for k := 1; k < len(c.lits); k++ {
-				if c.lits[k] == p {
-					c.lits[0], c.lits[k] = c.lits[k], c.lits[0]
+		if rl := s.ca.lits(c); Lit(rl[0]) != p {
+			for k := 1; k < len(rl); k++ {
+				if Lit(rl[k]) == p {
+					rl[0], rl[k] = rl[k], rl[0]
 					break
 				}
 			}
@@ -577,8 +621,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 		back = s.level[minimized[1].Var()]
 	}
 	s.analyzeTmp = learnt[:0]
-	out := append([]Lit(nil), minimized...)
-	return out, back
+	return minimized, back
 }
 
 // redundant reports whether literal l in a learned clause is implied by
@@ -586,10 +629,11 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 // reason all of whose literals are already marked or at level 0).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == 0 {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, w := range s.ca.lits(r) {
+		q := Lit(w)
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -600,15 +644,27 @@ func (s *Solver) redundant(l Lit) bool {
 	return true
 }
 
-// computeLBD counts the distinct decision levels in a clause.
+// computeLBD counts the distinct decision levels in a clause. A level
+// counts once: the first literal at it stamps levelStamp[level+1] with
+// this call's stamp. record calls it after backjumping, so the
+// asserting literal is unassigned and counts as level -1.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	for k := range s.levelSeen {
-		delete(s.levelSeen, k)
+	s.lbdStamp++
+	if s.lbdStamp == 0 { // wrapped: old stamps could collide
+		clear(s.levelStamp)
+		s.lbdStamp = 1
 	}
+	if need := s.decisionLevel() + 2; len(s.levelStamp) < need {
+		s.levelStamp = append(s.levelStamp, make([]uint32, need-len(s.levelStamp))...)
+	}
+	n := int32(0)
 	for _, l := range lits {
-		s.levelSeen[s.level[l.Var()]] = true
+		if i := s.level[l.Var()] + 1; s.levelStamp[i] != s.lbdStamp {
+			s.levelStamp[i] = s.lbdStamp
+			n++
+		}
 	}
-	return int32(len(s.levelSeen))
+	return n
 }
 
 func (s *Solver) record(lits []Lit) {
@@ -618,17 +674,19 @@ func (s *Solver) record(lits []Lit) {
 		if s.learnHook != nil {
 			s.learnHook(lits, 1)
 		}
-		s.uncheckedEnqueue(lits[0], nil)
+		s.uncheckedEnqueue(lits[0], 0)
 		return
 	}
-	c := &clause{lits: lits, learned: true, lbd: s.computeLBD(lits)}
+	lbd := s.computeLBD(lits)
+	c := s.ca.alloc(lits, true)
+	s.ca.setLBD(c, lbd)
 	s.learned = append(s.learned, c)
 	s.stats.Learned++
 	s.attach(c)
 	s.bumpClause(c)
 	if s.learnHook != nil {
-		// The clause owns lits from here on; exporters must copy.
-		s.learnHook(c.lits, c.lbd)
+		// lits is analyze's scratch; exporters must copy.
+		s.learnHook(lits, lbd)
 	}
 	s.uncheckedEnqueue(lits[0], c)
 }
@@ -639,29 +697,26 @@ func (s *Solver) reduceDB() {
 	s.stats.Reduces++
 	sort.Slice(s.learned, func(i, j int) bool {
 		a, b := s.learned[i], s.learned[j]
-		if a.lbd != b.lbd {
-			return a.lbd < b.lbd
+		if la, lb := s.ca.lbd(a), s.ca.lbd(b); la != lb {
+			return la < lb
 		}
-		return a.act > b.act
+		return s.ca.act(a) > s.ca.act(b)
 	})
 	keepFrom := len(s.learned) / 2
 	kept := s.learned[:0]
 	for i, c := range s.learned {
-		if i < keepFrom || c.lbd <= 2 || s.isReason(c) {
+		if i < keepFrom || s.ca.lbd(c) <= 2 || s.isReason(c) {
 			kept = append(kept, c)
 			continue
 		}
-		c.deleted = true
+		s.ca.markDeleted(c)
+		s.ca.drop(c)
 		s.stats.Removed++
-		s.proofStep(ProofDelete, c.lits)
-	}
-	// Compact in place: kept aliases s.learned's backing array, so only
-	// the dropped tail needs clearing for the GC.
-	for i := len(kept); i < len(s.learned); i++ {
-		s.learned[i] = nil
+		s.proofClause(ProofDelete, c)
 	}
 	s.learned = kept
 	s.cleanWatches()
+	s.maybeCompact()
 	s.fireEvent(EventReduce)
 }
 
@@ -669,31 +724,26 @@ func (s *Solver) reduceDB() {
 // whose backing arrays grew far beyond their live size, so steady-state
 // propagation neither scans dead entries nor pins peak-sized buffers.
 func (s *Solver) cleanWatches() {
-	for i := range s.watches {
-		ws := s.watches[i]
-		kept := ws[:0]
-		for _, w := range ws {
-			if !w.c.deleted {
-				kept = append(kept, w)
+	for i, ws := range s.watches {
+		j := 0
+		for _, w := range ws[:s.wn[i]] {
+			if !s.ca.deleted(w.c) {
+				ws[j] = w
+				j++
 			}
 		}
-		for j := len(kept); j < len(ws); j++ {
-			ws[j] = watcher{}
+		s.wn[i] = int32(j)
+		if len(ws) >= 16 && len(ws) > 4*j {
+			s.watches[i] = append([]watcher(nil), ws[:j]...)
 		}
-		if cap(kept) >= 16 && cap(kept) > 4*len(kept) {
-			shrunk := make([]watcher, len(kept))
-			copy(shrunk, kept)
-			kept = shrunk
-		}
-		s.watches[i] = kept
 	}
 }
 
-func (s *Solver) isReason(c *clause) bool {
+func (s *Solver) isReason(c cref) bool {
 	// Clause literals get permuted by watch maintenance, so the implied
 	// literal is not necessarily at position 0: scan all of them.
-	for _, l := range c.lits {
-		v := l.Var()
+	for _, w := range s.ca.lits(c) {
+		v := Lit(w).Var()
 		if s.assigns[v] != Unknown && s.reason[v] == c {
 			return true
 		}
@@ -759,7 +809,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		s.markRootUnsat()
 		return Unsat
 	}
@@ -781,7 +831,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != 0 {
 			s.stats.Conflicts++
 			conflicts++
 			conflictsAtRestart++
@@ -824,7 +874,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				if s.rootUnsat {
 					return Unsat
 				}
-				if s.propagate() != nil {
+				if s.propagate() != 0 {
 					s.markRootUnsat()
 					return Unsat
 				}
@@ -834,7 +884,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				if s.rootUnsat {
 					return Unsat
 				}
-				if s.propagate() != nil {
+				if s.propagate() != 0 {
 					s.markRootUnsat()
 					return Unsat
 				}
@@ -855,7 +905,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(next, nil)
+			s.uncheckedEnqueue(next, 0)
 			continue
 		}
 
@@ -866,7 +916,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, 0)
 	}
 }
 

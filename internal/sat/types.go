@@ -130,32 +130,13 @@ func (s *Status) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// clause is the internal clause representation. Learned clauses carry an
-// activity and an LBD ("glue") score used by database reduction.
-type clause struct {
-	lits    []Lit
-	act     float64
-	lbd     int32
-	learned bool
-	deleted bool
-}
-
-func (c *clause) String() string {
-	s := "("
-	for i, l := range c.lits {
-		if i > 0 {
-			s += " "
-		}
-		s += l.String()
-	}
-	return s + ")"
-}
-
 // watcher pairs a watched clause with a blocker literal: if the blocker is
-// already true the clause is satisfied and need not be inspected.
+// already true the clause is satisfied and need not be inspected. It
+// holds no pointer (8 bytes), so watch lists are invisible to the
+// garbage collector and propagate stores them without write barriers.
 type watcher struct {
-	c       *clause
-	blocker Lit
+	c       cref
+	blocker int32 // a Lit
 }
 
 // Stats aggregates solver counters, exposed for the evaluation harness.

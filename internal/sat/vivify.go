@@ -29,16 +29,16 @@ func (s *Solver) simplifyRoots() {
 		return
 	}
 	removed := false
-	for _, db := range [2][]*clause{s.clauses, s.learned} {
+	for _, db := range [2][]cref{s.clauses, s.learned} {
 		for _, c := range db {
-			if c.deleted || s.isReason(c) {
+			if s.ca.deleted(c) || s.isReason(c) {
 				continue
 			}
-			for _, l := range c.lits {
-				if s.value(l) == True {
-					c.deleted = true
+			for _, w := range s.ca.lits(c) {
+				if s.value(Lit(w)) == True {
+					s.ca.markDeleted(c)
 					removed = true
-					s.proofStep(ProofDelete, c.lits)
+					s.proofClause(ProofDelete, c)
 					break
 				}
 			}
@@ -47,20 +47,19 @@ func (s *Solver) simplifyRoots() {
 	if !removed {
 		return
 	}
-	for _, dbp := range [2]*[]*clause{&s.clauses, &s.learned} {
-		db := *dbp
-		kept := db[:0]
-		for _, c := range db {
-			if !c.deleted {
-				kept = append(kept, c)
+	for _, dbp := range [2]*[]cref{&s.clauses, &s.learned} {
+		kept := (*dbp)[:0]
+		for _, c := range *dbp {
+			if s.ca.deleted(c) {
+				s.ca.drop(c)
+				continue
 			}
-		}
-		for i := len(kept); i < len(db); i++ {
-			db[i] = nil
+			kept = append(kept, c)
 		}
 		*dbp = kept
 	}
 	s.cleanWatches()
+	s.maybeCompact()
 }
 
 // vivifyRound strengthens up to budget learned clauses by distillation
@@ -79,7 +78,7 @@ func (s *Solver) vivifyRound(budget int) {
 		}
 		c := s.learned[s.vivifyNext]
 		s.vivifyNext++
-		if c.deleted || len(c.lits) < 3 || s.isReason(c) {
+		if s.ca.deleted(c) || s.ca.size(c) < 3 || s.isReason(c) {
 			continue
 		}
 		examined++
@@ -93,14 +92,14 @@ func (s *Solver) vivifyRound(budget int) {
 // detach removes c's two watchers. The watched literals are always at
 // positions 0 and 1 (the propagation invariant); a watcher already
 // dropped by lazy deletion is simply not found, which is fine.
-func (s *Solver) detach(c *clause) {
-	for _, w := range [2]Lit{c.lits[0], c.lits[1]} {
-		ws := s.watches[w.Neg()]
+func (s *Solver) detach(c cref) {
+	for _, w := range [2]Lit{s.ca.lit(c, 0), s.ca.lit(c, 1)} {
+		l := w.Neg()
+		ws := s.watches[l][:s.wn[l]]
 		for i := range ws {
 			if ws[i].c == c {
 				ws[i] = ws[len(ws)-1]
-				ws[len(ws)-1] = watcher{}
-				s.watches[w.Neg()] = ws[:len(ws)-1]
+				s.wn[l]--
 				break
 			}
 		}
@@ -118,23 +117,25 @@ func (s *Solver) detach(c *clause) {
 // if it yields a conflict, {l1..lk} already is. Dropped literals are
 // false in every model falsifying the kept prefix, so removing them
 // preserves the clause's models.
-func (s *Solver) vivifyClause(c *clause) {
+func (s *Solver) vivifyClause(c cref) {
 	// Proof: a successful vivification logs the shortened clause before
 	// deleting the original (Add-before-Delete keeps the Add RUP); the
 	// original is snapshotted because the default case below overwrites
-	// c.lits in place.
+	// the clause's literals in place.
 	var orig []Lit
 	if s.proof != nil {
-		orig = append([]Lit(nil), c.lits...)
+		s.origBuf = s.ca.appendLits(s.origBuf[:0], c)
+		orig = s.origBuf
 	}
 	// Resolve root-assigned literals first: a root-true literal makes the
 	// clause permanently satisfied, root-false literals are stripped.
-	lits := make([]Lit, 0, len(c.lits))
-	for _, l := range c.lits {
-		switch s.value(l) {
+	size := s.ca.size(c)
+	lits := make([]Lit, 0, size)
+	for _, w := range s.ca.lits(c) {
+		switch l := Lit(w); s.value(l) {
 		case True:
 			s.detach(c)
-			c.deleted = true
+			s.ca.markDeleted(c)
 			s.proofStep(ProofDelete, orig)
 			return
 		case False:
@@ -155,22 +156,22 @@ func (s *Solver) vivifyClause(c *clause) {
 			continue
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(l.Neg(), nil)
+		s.uncheckedEnqueue(l.Neg(), 0)
 		kept = append(kept, l)
-		if s.propagate() != nil {
+		if s.propagate() != 0 {
 			// ¬(kept) is contradictory: kept alone is implied.
 			break
 		}
 	}
 	s.cancelUntil(0)
-	if len(kept) == len(c.lits) {
+	if len(kept) == size {
 		s.attach(c) // nothing removed; restore as-is
 		return
 	}
 	s.stats.VivifiedClauses++
 	switch len(kept) {
 	case 0:
-		c.deleted = true
+		s.ca.markDeleted(c)
 		s.markRootUnsat()
 	case 1:
 		// kept[0] was unassigned at the root when probing began, so it is
@@ -179,9 +180,9 @@ func (s *Solver) vivifyClause(c *clause) {
 			s.proofStep(ProofAdd, kept)
 			s.proofStep(ProofDelete, orig)
 		}
-		c.deleted = true
-		s.uncheckedEnqueue(kept[0], nil)
-		if s.propagate() != nil {
+		s.ca.markDeleted(c)
+		s.uncheckedEnqueue(kept[0], 0)
+		if s.propagate() != 0 {
 			s.markRootUnsat()
 		}
 	default:
@@ -189,9 +190,14 @@ func (s *Solver) vivifyClause(c *clause) {
 			s.proofStep(ProofAdd, kept)
 			s.proofStep(ProofDelete, orig)
 		}
-		c.lits = kept
-		if int32(len(kept)) < c.lbd {
-			c.lbd = int32(len(kept))
+		// Shrink in place: kept fits the clause's own slot.
+		dst := s.ca.lits(c)
+		for i, l := range kept {
+			dst[i] = uint32(l)
+		}
+		s.ca.shrink(c, len(kept))
+		if int32(len(kept)) < s.ca.lbd(c) {
+			s.ca.setLBD(c, int32(len(kept)))
 		}
 		s.attach(c)
 	}

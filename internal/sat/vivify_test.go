@@ -7,8 +7,9 @@ import (
 
 // addLearned registers a clause as a learned clause the way record()
 // would, so vivification tests can craft exact inputs.
-func addLearned(s *Solver, lits ...Lit) *clause {
-	c := &clause{lits: append([]Lit(nil), lits...), learned: true, lbd: int32(len(lits))}
+func addLearned(s *Solver, lits ...Lit) cref {
+	c := s.ca.alloc(lits, true)
+	s.ca.setLBD(c, int32(len(lits)))
 	s.learned = append(s.learned, c)
 	s.attach(c)
 	return c
@@ -26,11 +27,11 @@ func TestVivifyShortensImpliedSuffix(t *testing.T) {
 	cl := addLearned(s, PosLit(a), PosLit(c), PosLit(d))
 
 	s.vivifyClause(cl)
-	if cl.deleted {
+	if s.ca.deleted(cl) {
 		t.Fatalf("clause deleted, want shortened")
 	}
-	if len(cl.lits) != 2 {
-		t.Fatalf("vivified length = %d (%v), want 2", len(cl.lits), cl.lits)
+	if got := s.ca.appendLits(nil, cl); len(got) != 2 {
+		t.Fatalf("vivified length = %d (%v), want 2", len(got), got)
 	}
 	if st := s.Stats(); st.VivifiedClauses != 1 {
 		t.Fatalf("VivifiedClauses = %d, want 1", st.VivifiedClauses)
@@ -47,12 +48,12 @@ func TestVivifyDropsRootSatisfied(t *testing.T) {
 	s := New()
 	vs := newVars(s, 3)
 	mustAdd(t, s, PosLit(vs[0])) // root unit: v0 = true
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		t.Fatal("unexpected root conflict")
 	}
 	cl := addLearned(s, PosLit(vs[0]), PosLit(vs[1]), PosLit(vs[2]))
 	s.vivifyClause(cl)
-	if !cl.deleted {
+	if !s.ca.deleted(cl) {
 		t.Fatalf("root-satisfied learned clause not removed")
 	}
 }
@@ -107,7 +108,7 @@ func TestSimplifyRootsRemovesSatisfied(t *testing.T) {
 	mustAdd(t, s, PosLit(vs[0]), PosLit(vs[1])) // satisfied once v0 is forced
 	mustAdd(t, s, PosLit(vs[2]), PosLit(vs[3])) // untouched
 	mustAdd(t, s, PosLit(vs[0]))                // root unit added last, so the clause above is already in the DB
-	if s.propagate() != nil {
+	if s.propagate() != 0 {
 		t.Fatal("unexpected root conflict")
 	}
 	addLearned(s, PosLit(vs[0]), NegLit(vs[2]))
