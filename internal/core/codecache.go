@@ -411,8 +411,8 @@ func preprocessSnapshot(enc *logic.Encoder, build *obs.Span, qs *obs.QueryState)
 // rejected step nothing is certified, and after a RAT addition the
 // database is only equisatisfiable with the input formula, so refuting
 // it under a budget would not refute the query. The copy is a clone,
-// which drops the clauses Simplify deleted; the builder's watch lists
-// still hold them.
+// which leaves out the clauses Simplify deleted that the builder's slab
+// may still hold, so every per-query clone of it copies the slab as is.
 func sharedPrelude(ck *drat.Checker) *drat.Checker {
 	if ck.Err() != nil || ck.RATs() > 0 {
 		return nil

@@ -1,6 +1,10 @@
 package core
 
-import "scadaver/internal/logic"
+import (
+	"scadaver/internal/logic"
+	"scadaver/internal/sat"
+	"scadaver/internal/sat/drat"
+)
 
 // ViolatedUnder exposes the direct (SAT-free) property evaluator to the
 // external core_test package.
@@ -26,4 +30,29 @@ func (a *Analyzer) StructureEncoder(q Query) *logic.Encoder {
 	enc, delivered := a.encodeStructure(probe)
 	enc.Assert(a.violationFormula(probe, delivered))
 	return enc
+}
+
+// SnapshotPrelude returns the prelude checker a certified plain-cache
+// snapshot for q keeps for its queries to clone (nil if it shares none).
+func (a *Analyzer) SnapshotPrelude(q Query) (*drat.Checker, error) {
+	_, _, e, err := a.snapshot(q, true, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.prelude, nil
+}
+
+// RecordPrelude feeds w the proof stream a certified plain-cache snapshot
+// build for q feeds its prelude checker: the structural encoding, the
+// negated property and, under presimplify, the snapshot's Simplify.
+func (a *Analyzer) RecordPrelude(q Query, w sat.ProofWriter) {
+	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
+	a.proofSink = w
+	enc, delivered := a.encodeStructure(probe)
+	a.proofSink = nil
+	enc.Assert(a.violationFormula(probe, delivered))
+	if a.presimplify {
+		enc.Simplify()
+	}
+	enc.Solver().SetProofHook(nil)
 }

@@ -9,6 +9,7 @@ import (
 	"scadaver/internal/experiments"
 	"scadaver/internal/powergrid"
 	"scadaver/internal/sat"
+	"scadaver/internal/sat/drat"
 	"scadaver/internal/synth"
 )
 
@@ -146,6 +147,81 @@ func BenchmarkCloneIEEE57(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if c := enc.Clone(); c.Solver().NumVars() != enc.Solver().NumVars() {
 			b.Fatal("clone lost variables")
+		}
+	}
+}
+
+// proofStep is one recorded proof step.
+type proofStep struct {
+	op   sat.ProofOp
+	lits []sat.Lit
+}
+
+// proofRecorder records a proof stream for replay.
+type proofRecorder struct{ steps []proofStep }
+
+func (r *proofRecorder) Step(op sat.ProofOp, lits []sat.Lit) {
+	r.steps = append(r.steps, proofStep{op, append([]sat.Lit(nil), lits...)})
+}
+
+// certifiedIEEE57 returns a certifying, presimplifying analyzer with a
+// plain encoding cache over the IEEE-57 (seed 57007) configuration, and
+// the observability query its snapshot serves.
+func certifiedIEEE57(b *testing.B) (*core.Analyzer, core.Query) {
+	cfg, err := synth.Generate(synth.Params{Bus: powergrid.IEEE57(), Seed: 57007, Hierarchy: 2, SecureFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true), core.WithCertification(true), core.WithEncodingCache(core.NewEncodingCache()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a, core.Query{Property: core.Observability, Combined: true}
+}
+
+// BenchmarkDRATPreludeIEEE57 times the one-off check of a certified
+// snapshot's derivation: each iteration replays the recorded IEEE-57
+// (seed 57007) observability prelude stream — encoding, negated property
+// and Simplify — into a fresh checker.
+func BenchmarkDRATPreludeIEEE57(b *testing.B) {
+	a, q := certifiedIEEE57(b)
+	rec := &proofRecorder{}
+	a.RecordPrelude(q, rec)
+	pre, err := a.SnapshotPrelude(q)
+	if err != nil || pre == nil {
+		b.Fatalf("no shared prelude: %v", err)
+	}
+	if len(rec.steps) != pre.Steps() {
+		b.Fatalf("recorded %d steps, the snapshot's prelude checked %d", len(rec.steps), pre.Steps())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck := drat.New()
+		for _, st := range rec.steps {
+			ck.Step(st.op, st.lits)
+		}
+		if ck.Err() != nil {
+			b.Fatal(ck.Err())
+		}
+	}
+}
+
+// BenchmarkCheckerCloneIEEE57 times the per-query fork of a certified
+// snapshot's prelude: each iteration clones the shared IEEE-57 (seed
+// 57007) observability prelude checker, as every certified query on
+// that snapshot does.
+func BenchmarkCheckerCloneIEEE57(b *testing.B) {
+	a, q := certifiedIEEE57(b)
+	pre, err := a.SnapshotPrelude(q)
+	if err != nil || pre == nil {
+		b.Fatalf("no shared prelude: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := pre.Clone(); c.Live() != pre.Live() {
+			b.Fatal("clone lost clauses")
 		}
 	}
 }

@@ -22,10 +22,17 @@
 // a clause RUP over the database after one is no longer implied by the
 // input (RATs counts them).
 //
+// The clause store (store.go) holds no pointers: clauses live back to
+// back in one uint32 slab named by offsets, watchers are 8-byte
+// {offset, blocker} pairs, and deletes find their clause through a hash
+// index whose chains run through the slab. Deleted clauses are unlinked
+// and marked, and the slab compacts once they fill half of it.
+//
 // Clone forks a checker mid-stream. A shared solver snapshot keeps the
 // checker that watched it being built, and each query solving a clone of
 // that snapshot feeds its own steps to a clone of the checker, so the
-// snapshot's derivation is checked once rather than once per query.
+// snapshot's derivation is checked once rather than once per query. The
+// store being flat, a clone is a few copies and a watch-list rebuild.
 //
 // Dump (dump.go) is the escape hatch for external checkers: it buffers
 // the input formula as DIMACS and the derivation as DRAT text, the
@@ -41,22 +48,19 @@ import (
 	"scadaver/internal/sat"
 )
 
-// cclause is one live checker clause. The first two literals are the
-// watched ones (the propagation invariant, as in the solver).
-type cclause struct {
-	lits    []sat.Lit
-	deleted bool
-}
-
 // Checker is a forward RUP/RAT proof checker implementing
 // sat.ProofWriter. Feed it the solver's proof stream via Step (arm it
 // with Solver.SetProofHook before the first AddClause), then ask Err
 // for the first malformed step and VerifyUnsat for the final verdict
 // certificate. A Checker is not safe for concurrent use.
 type Checker struct {
-	clauses map[string][]*cclause // canonical key -> live instances
-	watches [][]*cclause          // lit -> clauses watching lit
-	assigns []int8                // var -> +1 true, -1 false, 0 unassigned
+	mem     []uint32    // clause slab (store.go); word 0 is the pad
+	wasted  int         // words of deleted clauses still in mem
+	buckets []uint32    // index: bucket -> first clause offset of its chain
+	watches [][]watcher // lit -> watchers of the clauses watching lit
+	vals    []int8      // lit -> +1 true, -1 false, 0 unassigned
+	stamps  []uint32    // lit -> stamp of the last normalize holding it
+	stamp   uint32
 	trail   []sat.Lit
 	qhead   int
 
@@ -71,7 +75,7 @@ type Checker struct {
 
 // New returns an empty checker.
 func New() *Checker {
-	return &Checker{clauses: make(map[string][]*cclause)}
+	return &Checker{mem: []uint32{0}, buckets: make([]uint32, minBuckets)}
 }
 
 // Err returns the first error encountered in the step stream (nil if
@@ -103,67 +107,35 @@ func (c *Checker) Live() int { return c.live }
 // original, and the reverse. Clone only reads c, so any number of
 // goroutines may clone one checker concurrently while nobody steps it.
 //
-// Like sat.Solver.Clone the copy is arena-allocated — one clause slab,
-// one literal slab and one watcher buffer instead of allocations per
-// clause — and each clause's literals are capacity-clipped to their
-// segment, so the in-place watch swaps stay inside it. Canonical keys
-// are immutable strings and are shared. The watch lists are rebuilt from
-// each clause's first two literals (the watched pair), which also drops
-// the deleted clauses the original still holds lazily.
+// The store is pointer-free, so the copy is a handful of flat copies.
+// With no deleted clauses in the slab, the slab and the index table are
+// copied as they are: the hash chains run through the slab, so they come
+// along. Otherwise only the live clauses are copied, into a compact slab,
+// and the index is rebuilt over it. Either way the watch lists are
+// rebuilt from each clause's watched pair into one buffer, which drops
+// the watchers of deleted clauses the original still holds lazily.
 func (c *Checker) Clone() *Checker {
 	n := &Checker{
-		clauses: make(map[string][]*cclause, len(c.clauses)),
-		watches: make([][]*cclause, len(c.watches)),
-		assigns: append([]int8(nil), c.assigns...),
-		trail:   append([]sat.Lit(nil), c.trail...),
+		live:    c.live,
+		watches: make([][]watcher, len(c.watches)),
+		vals:    slices.Clone(c.vals),
+		stamps:  make([]uint32, len(c.stamps)),
+		trail:   slices.Clone(c.trail),
 		qhead:   c.qhead,
 		empty:   c.empty,
 		err:     c.err,
 		steps:   c.steps,
 		adds:    c.adds,
 		rats:    c.rats,
-		live:    c.live,
 	}
-	ncl, nlits := 0, 0
-	for _, bucket := range c.clauses {
-		ncl += len(bucket)
-		for _, cl := range bucket {
-			nlits += len(cl.lits)
-		}
+	if c.wasted == 0 {
+		n.mem = slices.Clone(c.mem)
+		n.buckets = slices.Clone(c.buckets)
+	} else {
+		n.mem = c.appendLive(make([]uint32, 1, len(c.mem)-c.wasted))
+		n.reindex()
 	}
-	// The slabs are sized exactly: an append past capacity would move
-	// them and strand the pointers already taken.
-	arena := make([]cclause, 0, ncl)
-	ptrs := make([]*cclause, 0, ncl)
-	lits := make([]sat.Lit, 0, nlits)
-	wcount := make([]int32, len(c.watches))
-	for k, bucket := range c.clauses {
-		lo := len(ptrs)
-		for _, cl := range bucket {
-			l0 := len(lits)
-			lits = append(lits, cl.lits...)
-			arena = append(arena, cclause{lits: lits[l0:len(lits):len(lits)]})
-			copied := &arena[len(arena)-1]
-			ptrs = append(ptrs, copied)
-			wcount[copied.lits[0]]++
-			wcount[copied.lits[1]]++
-		}
-		n.clauses[k] = ptrs[lo:len(ptrs):len(ptrs)]
-	}
-	wbuf := make([]*cclause, 2*len(arena))
-	off := 0
-	for i, w := range wcount {
-		if w == 0 {
-			continue
-		}
-		n.watches[i] = wbuf[off : off : off+int(w)]
-		off += int(w)
-	}
-	for i := range arena {
-		cl := &arena[i]
-		n.watches[cl.lits[0]] = append(n.watches[cl.lits[0]], cl)
-		n.watches[cl.lits[1]] = append(n.watches[cl.lits[1]], cl)
-	}
+	n.rewatch()
 	return n
 }
 
@@ -226,77 +198,78 @@ func (c *Checker) VerifyUnsat(assumptions ...sat.Lit) error {
 	return nil
 }
 
+// ensure sizes the per-literal arrays for every variable in lits.
 func (c *Checker) ensure(lits []sat.Lit) {
-	max := -1
+	max := sat.Lit(-1)
 	for _, l := range lits {
-		if v := int(l.Var()); v > max {
-			max = v
+		if l > max {
+			max = l
 		}
 	}
-	for len(c.assigns) <= max {
-		c.assigns = append(c.assigns, 0)
-		c.watches = append(c.watches, nil, nil)
+	if n := int(max|1) + 1; n > len(c.vals) {
+		grow := n - len(c.vals)
+		c.vals = append(c.vals, make([]int8, grow)...)
+		c.stamps = append(c.stamps, make([]uint32, grow)...)
+		c.watches = append(c.watches, make([][]watcher, grow)...)
 	}
-}
-
-func (c *Checker) value(l sat.Lit) int8 {
-	v := c.assigns[l.Var()]
-	if l.Sign() {
-		return -v
-	}
-	return v
 }
 
 func (c *Checker) enqueue(l sat.Lit) {
-	if l.Sign() {
-		c.assigns[l.Var()] = -1
-	} else {
-		c.assigns[l.Var()] = 1
-	}
+	c.vals[l] = 1
+	c.vals[l^1] = -1
 	c.trail = append(c.trail, l)
 }
 
 // undo pops probe assignments back to the trail mark.
 func (c *Checker) undo(mark int) {
-	for i := len(c.trail) - 1; i >= mark; i-- {
-		c.assigns[c.trail[i].Var()] = 0
+	for _, l := range c.trail[mark:] {
+		c.vals[l] = 0
+		c.vals[l^1] = 0
 	}
 	c.trail = c.trail[:mark]
 	c.qhead = mark
 }
 
 // propagate runs unit propagation from the queue head; it reports true
-// on conflict. Watch lists purge deleted clauses lazily as they scan.
+// on conflict. A watcher whose blocker is true is kept without reading
+// the clause; one whose clause is deleted is dropped. Every watcher
+// propagate keeps or moves takes the clause's other watched literal as
+// its new blocker.
 func (c *Checker) propagate() bool {
+	mem, vals := c.mem, c.vals
 	for c.qhead < len(c.trail) {
-		p := c.trail[c.qhead]
+		fl := c.trail[c.qhead] ^ 1 // the literal that just became false
 		c.qhead++
-		fl := p.Neg() // literal that just became false
 		ws := c.watches[fl]
-		kept := ws[:0]
-		conflict := false
-		for wi := 0; wi < len(ws); wi++ {
-			cl := ws[wi]
-			if cl.deleted {
+		i, j := 0, 0
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			if vals[w.blocker] == 1 {
+				ws[j] = w
+				j++
 				continue
 			}
-			if conflict {
-				kept = append(kept, ws[wi:]...)
-				break
+			h := mem[w.c]
+			if h&hdrDeleted != 0 {
+				continue
 			}
-			if cl.lits[0] == fl {
-				cl.lits[0], cl.lits[1] = cl.lits[1], cl.lits[0]
+			b := int(w.c) + clHeader
+			e := b + int(h>>hdrSizeShift)
+			if sat.Lit(mem[b]) == fl {
+				mem[b], mem[b+1] = mem[b+1], mem[b]
 			}
-			first := cl.lits[0]
-			if c.value(first) == 1 {
-				kept = append(kept, cl)
+			first := mem[b]
+			if first != w.blocker && vals[first] == 1 {
+				ws[j] = watcher{w.c, first}
+				j++
 				continue
 			}
 			moved := false
-			for k := 2; k < len(cl.lits); k++ {
-				if c.value(cl.lits[k]) >= 0 {
-					cl.lits[1], cl.lits[k] = cl.lits[k], cl.lits[1]
-					c.watches[cl.lits[1]] = append(c.watches[cl.lits[1]], cl)
+			for k := b + 2; k < e; k++ {
+				if l := mem[k]; vals[l] >= 0 {
+					mem[b+1], mem[k] = l, mem[b+1]
+					c.watches[l] = append(c.watches[l], watcher{w.c, first})
 					moved = true
 					break
 				}
@@ -304,54 +277,43 @@ func (c *Checker) propagate() bool {
 			if moved {
 				continue
 			}
-			kept = append(kept, cl)
-			if c.value(first) == -1 {
-				conflict = true
+			ws[j] = watcher{w.c, first}
+			j++
+			if vals[first] == -1 {
+				j += copy(ws[j:], ws[i:])
+				c.watches[fl] = ws[:j]
 				c.qhead = len(c.trail)
-				continue
+				return true
 			}
-			c.enqueue(first)
+			c.enqueue(sat.Lit(first))
 		}
-		for j := len(kept); j < len(ws); j++ {
-			ws[j] = nil
-		}
-		c.watches[fl] = kept
-		if conflict {
-			return true
-		}
+		c.watches[fl] = ws[:j]
 	}
 	return false
 }
 
-// normalize sorts and dedupes lits into the scratch buffer; ok is false
-// for tautologies.
+// normalize dedupes lits into the scratch buffer, keeping their order,
+// and leaves exactly the kept literals stamped with the current stamp;
+// ok is false for tautologies.
 func (c *Checker) normalize(lits []sat.Lit) (out []sat.Lit, ok bool) {
-	c.tmp = append(c.tmp[:0], lits...)
-	slices.Sort(c.tmp)
-	w := 0
-	for i, l := range c.tmp {
-		if w > 0 && l == c.tmp[w-1] {
+	if c.stamp++; c.stamp == 0 {
+		clear(c.stamps)
+		c.stamp = 1
+	}
+	out = c.tmp[:0]
+	for _, l := range lits {
+		switch {
+		case c.stamps[l] == c.stamp:
 			continue
-		}
-		if w > 0 && l == c.tmp[w-1].Neg() {
+		case c.stamps[l^1] == c.stamp:
+			c.tmp = out
 			return nil, false
 		}
-		c.tmp[w] = c.tmp[i]
-		w++
+		c.stamps[l] = c.stamp
+		out = append(out, l)
 	}
-	return c.tmp[:w], true
-}
-
-func key(sorted []sat.Lit) string {
-	var b strings.Builder
-	b.Grow(4 * len(sorted))
-	for _, l := range sorted {
-		b.WriteByte(byte(l))
-		b.WriteByte(byte(l >> 8))
-		b.WriteByte(byte(l >> 16))
-		b.WriteByte(byte(l >> 24))
-	}
-	return b.String()
+	c.tmp = out
+	return out, true
 }
 
 // addClause installs a (verified or input) clause: root-satisfied
@@ -370,7 +332,7 @@ func (c *Checker) addClause(lits []sat.Lit) {
 	// Find up to two unfalsified literals to watch, noting satisfaction.
 	w0, w1 := -1, -1
 	for i, l := range norm {
-		switch c.value(l) {
+		switch c.vals[l] {
 		case 1:
 			return // satisfied at root: dead weight forever
 		case 0:
@@ -391,16 +353,14 @@ func (c *Checker) addClause(lits []sat.Lit) {
 			c.empty = true
 		}
 	default:
-		cl := &cclause{lits: append([]sat.Lit(nil), norm...)}
-		cl.lits[0], cl.lits[w0] = cl.lits[w0], cl.lits[0]
+		norm[0], norm[w0] = norm[w0], norm[0]
 		if w1 == 0 {
 			w1 = w0
 		}
-		cl.lits[1], cl.lits[w1] = cl.lits[w1], cl.lits[1]
-		c.watches[cl.lits[0]] = append(c.watches[cl.lits[0]], cl)
-		c.watches[cl.lits[1]] = append(c.watches[cl.lits[1]], cl)
-		c.clauses[key(norm)] = append(c.clauses[key(norm)], cl)
-		c.live++
+		norm[1], norm[w1] = norm[w1], norm[1]
+		if !c.store(norm) {
+			c.err = fmt.Errorf("drat: step %d: clause store exceeds 2^32 words", c.steps)
+		}
 	}
 }
 
@@ -414,35 +374,24 @@ func (c *Checker) deleteClause(lits []sat.Lit) {
 	if !ok {
 		return
 	}
-	bucket := c.clauses[key(norm)]
-	for i, cl := range bucket {
-		if cl.deleted {
-			continue
-		}
-		nonFalse, satisfied := 0, false
-		for _, l := range cl.lits {
-			switch c.value(l) {
-			case 1:
-				satisfied = true
-			case 0:
-				nonFalse++
-			}
-		}
-		if !satisfied && nonFalse <= 1 {
-			return // effectively unit: keep (standard DRAT leniency)
-		}
-		cl.deleted = true // watch lists purge lazily
-		c.live--
-		bucket[i] = bucket[len(bucket)-1]
-		bucket = bucket[:len(bucket)-1]
-		k := key(norm)
-		if len(bucket) == 0 {
-			delete(c.clauses, k)
-		} else {
-			c.clauses[k] = bucket
-		}
+	b := c.bucket(clauseHash(norm))
+	off, prev := c.find(b, norm)
+	if off == 0 {
 		return
 	}
+	nonFalse, satisfied := 0, false
+	for _, l := range c.lits(off) {
+		switch c.vals[l] {
+		case 1:
+			satisfied = true
+		case 0:
+			nonFalse++
+		}
+	}
+	if !satisfied && nonFalse <= 1 {
+		return // effectively unit: keep (standard DRAT leniency)
+	}
+	c.remove(b, off, prev)
 }
 
 // rup checks reverse unit propagation: assuming the negation of every
@@ -455,12 +404,12 @@ func (c *Checker) rup(lits []sat.Lit) bool {
 	c.ensure(lits)
 	mark := len(c.trail)
 	for _, l := range lits {
-		switch c.value(l) {
+		switch c.vals[l] {
 		case 1:
 			c.undo(mark)
 			return true
 		case 0:
-			c.enqueue(l.Neg())
+			c.enqueue(l ^ 1)
 		}
 	}
 	conflict := c.propagate()
@@ -487,34 +436,25 @@ func (c *Checker) rat(lits []sat.Lit) bool {
 	}
 	pivot := lits[0]
 	c.ensure(lits)
-	if c.value(pivot) == -1 {
+	if c.vals[pivot] == -1 {
 		return false
 	}
-	np := pivot.Neg()
-	for _, bucket := range c.clauses {
-		for _, cl := range bucket {
-			if cl.deleted {
-				continue
+	np := uint32(pivot ^ 1)
+	for off := 1; off < len(c.mem); {
+		h := c.mem[off]
+		cl := c.mem[off+clHeader : off+clHeader+int(h>>hdrSizeShift)]
+		off += clHeader + len(cl)
+		if h&hdrDeleted != 0 || !slices.Contains(cl, np) {
+			continue
+		}
+		res := slices.Clone(lits)
+		for _, l := range cl {
+			if l != np {
+				res = append(res, sat.Lit(l))
 			}
-			contains := false
-			for _, l := range cl.lits {
-				if l == np {
-					contains = true
-					break
-				}
-			}
-			if !contains {
-				continue
-			}
-			res := append([]sat.Lit(nil), lits...)
-			for _, l := range cl.lits {
-				if l != np {
-					res = append(res, l)
-				}
-			}
-			if !c.rup(res) {
-				return false
-			}
+		}
+		if !c.rup(res) {
+			return false
 		}
 	}
 	return true
