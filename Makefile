@@ -29,11 +29,8 @@ bench:
 # Record the reference benchmark campaign (resiliency boundary plus
 # parallel k-sweep over IEEE 14/30/57, and an IEEE-118 boundary-only
 # row) as machine-readable JSON, so successive commits can be compared
-# number-by-number. Recorded with preprocessing and the encoding cache;
-# the portfolio is deliberately left off so the reference numbers stay
-# comparable across hosts with different CPU counts (portfolio
-# escalation only pays with real parallelism — see EXPERIMENTS.md §P3
-# for the armed/ablated legs). -certify adds a ksweep-certify row per
+# number-by-number. Recorded with preprocessing and the encoding cache,
+# one serial search per query. -certify adds a ksweep-certify row per
 # system (the §R3 certification-overhead ablation) while leaving the
 # base rows uncertified and comparable to earlier records.
 # The record also carries the mutation-storm rows (mutate-incremental
@@ -48,18 +45,15 @@ bench-record:
 # The chaos pass: the fault-tolerance suite (deterministic fault
 # injection, budget degradation, checkpoint/resume, panic isolation)
 # under the race detector, uncached so injected faults re-fire every
-# run (see DESIGN.md §9), the portfolio chaos suite (replica panics,
-# clause-exchange soundness, interrupt-safe cancellation; DESIGN.md
-# §12), the verification-service chaos smoke (overload shedding,
-# breaker, drain-resume; see DESIGN.md §10), plus the certification
-# chaos suite (DESIGN.md §15): the TestChaos patterns below include
-# TestChaosCertify* — injected verdict flips, corrupted witnesses and
-# truncated proof streams must be caught, quarantined and corrected at
-# the core, service and cluster boundaries.
+# run (see DESIGN.md §9), the verification-service chaos smoke
+# (overload shedding, breaker, drain-resume; see DESIGN.md §10), plus
+# the certification chaos suite (DESIGN.md §15): the TestChaos patterns
+# below include TestChaosCertify* — injected verdict flips, corrupted
+# witnesses and truncated proof streams must be caught, quarantined and
+# corrected at the core, service and cluster boundaries.
 chaos: chaos-cluster
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/atomicio ./internal/sat/drat
-	$(GO) test -race -count=1 -run 'TestPortfolio|TestVivify|TestExchange' ./internal/sat
-	$(GO) test -race -count=1 -run 'TestChaos|TestBudget|TestCheckpoint|TestSweepVerifyRange|TestIEEE57EnumerationResume|TestPortfolio|TestFlight|TestDelta' ./internal/core
+	$(GO) test -race -count=1 -run 'TestChaos|TestBudget|TestCheckpoint|TestSweepVerifyRange|TestIEEE57EnumerationResume|TestFlight|TestDelta' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSetup|TestTracer|TestFlight' ./internal/obs
 	$(GO) test -race -count=1 -run 'TestChaos|TestBreaker|TestHandoff|TestRetryAfter' ./internal/serve
 	$(GO) test -race -count=1 ./cmd/scada-served

@@ -80,7 +80,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		certify    = fs.Bool("certify", false, "certify every verdict: proof-log the solve and check it in-process (DRAT), audit sat models against a pristine re-encode, and quarantine+re-solve on divergence")
 		noCache    = fs.Bool("no-cache", false, "disable the cross-query encoding cache (re-encode the structure per query)")
 		mutateStr  = fs.String("mutate", "", "apply a mutation delta before verification (\"link-remove 7; device-down 3; key-rotate 4 256\"): the pre-mutation structure is verified first to warm the delta-aware encoding cache, then only the delta's dirty cone is re-encoded (see the delta/carried counters under -stats)")
-		portfolio  = fs.Int("portfolio", 0, "race N diversified solver replicas (clause sharing, inprocessing) per hard query; 0/1 = serial. Ignored by -sweep: like the encoding cache, the portfolio may surface different (equally valid) witness vectors, and sweep output is contracted to be identical across worker counts")
 		showVer    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -198,15 +197,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *certify {
 		opts = append(opts, core.WithCertification(true))
 	}
-	// The portfolio is gated off for -sweep for the same witness-stability
-	// reason as the cache: UNSAT verdicts (and so resiliency indices) are
-	// bit-identical either way, but a SAT race may adopt a different —
-	// equally valid — model than serial search, and sweep output is
-	// contracted to print identical witness vectors across worker counts.
-	if *portfolio > 1 && *sweepK < 0 {
-		opts = append(opts, core.WithPortfolio(*portfolio))
-	}
-
 	analyzer, err := core.NewAnalyzer(cfg, opts...)
 	if err != nil {
 		return err

@@ -68,8 +68,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		presimp    = fs.Bool("presimplify", false, "preprocess each structural CNF before search (amortized via the encoding cache)")
 		certify    = fs.Bool("certify", false, "certify every verdict (proof-logged solves, in-process DRAT checking, sat-model audits); the §R3 overhead ablation")
 		noCache    = fs.Bool("no-cache", false, "disable the per-campaign encoding cache (re-encode the structure per query)")
-		portfolio  = fs.Int("portfolio", 0, "race N diversified solver replicas per hard query (0/1 = serial)")
-		noShare    = fs.Bool("portfolio-noshare", false, "disable the learnt-clause exchange between portfolio replicas (ablation)")
 		watch      = fs.Duration("watch", 0, "print a live progress line per in-flight query to stderr every interval (0 = off)")
 		showVer    = fs.Bool("version", false, "print version and exit")
 	)
@@ -95,7 +93,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		Trace: root, Metrics: reg,
 		Budget:      core.QueryBudget{Deadline: *deadline, Retries: *retries},
 		Presimplify: *presimp, NoCache: *noCache, Certify: *certify,
-		Portfolio: *portfolio, PortfolioNoShare: *noShare,
 	}
 	if *watch > 0 {
 		opt.Queries = obs.NewQueryRegistry(0, 0)

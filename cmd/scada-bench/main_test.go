@@ -54,13 +54,12 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 // TestRunRecord drives -record end to end on the two smallest systems
-// (with a 2-replica portfolio armed, exercising escalation plumbing)
 // and checks the BENCH JSON artifact.
 func TestRunRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var sb strings.Builder
 	err := run([]string{"-record", path, "-inputs", "1", "-runs", "1", "-maxk", "1",
-		"-systems", "ieee14,ieee30", "-portfolio", "2"}, &sb)
+		"-systems", "ieee14,ieee30"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}

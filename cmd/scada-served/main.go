@@ -123,7 +123,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		addr         = fs.String("addr", ":8080", "listen address")
 		queueDepth   = fs.Int("queue", 64, "admission queue depth; excess load is shed with 429")
 		workers      = fs.Int("workers", 0, "verification worker-pool size (0 = GOMAXPROCS)")
-		portfolio    = fs.Int("portfolio", 0, "race N diversified solver replicas per hard query; the worker pool shrinks to workers/N so replicas don't oversubscribe (0/1 = serial)")
 		deadline     = fs.Duration("deadline", 10*time.Second, "default per-solve deadline for requests without a budget")
 		maxDeadline  = fs.Duration("max-deadline", 30*time.Second, "server-enforced per-solve deadline ceiling")
 		maxRetries   = fs.Int("max-retries", 2, "server-enforced retry ceiling per query")
@@ -181,7 +180,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		Configs:          named,
 		QueueDepth:       *queueDepth,
 		Workers:          *workers,
-		Portfolio:        *portfolio,
 		DefaultBudget:    core.QueryBudget{Deadline: *deadline},
 		MaxBudget:        core.QueryBudget{Deadline: *maxDeadline, Retries: *maxRetries},
 		RequestTimeout:   *reqTimeout,

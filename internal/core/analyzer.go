@@ -349,17 +349,6 @@ type Analyzer struct {
 	budget         QueryBudget
 	faults         *faultinject.Faults
 
-	// Portfolio escalation (see portfolio.go): replicas raced per hard
-	// query, the clause-sharing ablation knob, and the escalation
-	// threshold (0 = DefaultPortfolioThreshold; tests lower it to force
-	// escalation on small instances). portfolioMaxConc caps concurrently
-	// admitted replicas (0 = GOMAXPROCS, <0 = all; chaos tests saturate
-	// it so every replica genuinely races on a single-CPU host).
-	portfolio        int
-	portfolioNoShare bool
-	portfolioAfter   uint64
-	portfolioMaxConc int
-
 	// Formula preprocessing and the cross-query encoding cache (see
 	// codecache.go). encFP memoizes the analyzer's share of the cache
 	// key; it is derived state, not configuration.

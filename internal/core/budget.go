@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"scadaver/internal/logic"
@@ -169,9 +168,9 @@ func (a *Analyzer) solveBudgeted(q Query, enc *logic.Encoder, solveSpan *obs.Spa
 
 	for attempt := 1; ; attempt++ {
 		a.qs.SetAttempt(attempt)
-		// expired is written by the interrupt hook, which portfolio
-		// replicas poll concurrently — it must be atomic.
-		var expired atomic.Bool
+		// expired is set by the interrupt hook, which runs on the
+		// solving goroutine.
+		var expired bool
 		switch {
 		case deadline > 0:
 			deadlineAt := time.Now().Add(deadline)
@@ -180,7 +179,7 @@ func (a *Analyzer) solveBudgeted(q Query, enc *logic.Encoder, solveSpan *obs.Spa
 					return true
 				}
 				if time.Now().After(deadlineAt) {
-					expired.Store(true)
+					expired = true
 					return true
 				}
 				return false
@@ -189,48 +188,11 @@ func (a *Analyzer) solveBudgeted(q Query, enc *logic.Encoder, solveSpan *obs.Spa
 			s.SetInterrupt(a.interrupt)
 		}
 		s.SetConflictHook(hook)
+		s.SetConflictBudget(conflicts)
 		stallsBefore := a.faults.Counts().SolverStalls
-
-		// Portfolio escalation: with a portfolio armed, the serial solver
-		// first gets a short prelude budget (the escalation threshold); a
-		// query that decides within it never pays for cloning replicas,
-		// while a hard one escalates to the portfolio with the attempt's
-		// full conflict budget. Replicas inherit the prelude's learned
-		// clauses through Clone, so the prelude work is never wasted.
-		serialConflicts := conflicts
-		escalatable := a.portfolio > 1
-		if escalatable {
-			if thr := a.portfolioThreshold(); serialConflicts == 0 || serialConflicts > thr {
-				serialConflicts = thr
-			} else {
-				// The whole attempt fits under the threshold: portfolio
-				// overhead would exceed the remaining budget.
-				escalatable = false
-			}
-		}
-		s.SetConflictBudget(serialConflicts)
 
 		a.faults.BeforeSolve()
 		status := enc.Solve(assumptions...)
-		if status == sat.Unsolved && escalatable &&
-			!(a.interrupt != nil && a.interrupt()) && !expired.Load() &&
-			a.faults.Counts().SolverStalls == stallsBefore {
-			solveSpan.Event("portfolio", obs.A("replicas", a.portfolio), obs.A("attempt", attempt))
-			a.qs.Record("escalate", fmt.Sprintf("replicas=%d", a.portfolio), s.Stats().Conflicts)
-			if a.qs != nil {
-				// Publish the racing lineup before the race resolves so a
-				// watcher sees which strategies are in flight.
-				lineup := make([]obs.ReplicaSnapshot, a.portfolio)
-				for i := range lineup {
-					lineup[i] = obs.ReplicaSnapshot{ID: i, Strategy: sat.StrategyName(i)}
-				}
-				a.qs.SetReplicas(lineup)
-			}
-			s.SetConflictBudget(conflicts)
-			var pstats sat.PortfolioStats
-			status, pstats = enc.SolvePortfolio(a.portfolioOptions(), assumptions...)
-			a.recordPortfolio(q, pstats)
-		}
 		if status != sat.Unsolved {
 			return solveOutcome{status: status, attempts: attempt}
 		}
@@ -240,7 +202,7 @@ func (a *Analyzer) solveBudgeted(q Query, enc *logic.Encoder, solveSpan *obs.Spa
 		switch {
 		case a.interrupt != nil && a.interrupt():
 			return solveOutcome{status: status, attempts: attempt, reason: ReasonInterrupted}
-		case expired.Load():
+		case expired:
 			reason = ReasonDeadline
 		case a.faults.Counts().SolverStalls > stallsBefore:
 			reason = ReasonInjectedStall

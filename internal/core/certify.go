@@ -29,7 +29,7 @@ import (
 //     pristine re-encode of the query (fresh encoder, no preprocessing,
 //     no cache) solved under the model as unit assumptions.
 //   - Any divergence quarantines the query: one pristine re-solve with
-//     preprocessing, portfolio and cache all disabled, itself
+//     preprocessing and cache both disabled, itself
 //     proof-checked, whose verdict replaces the suspect one.
 //
 // With a plain encoding cache (WithEncodingCache), certification shares
@@ -42,8 +42,8 @@ import (
 // checker rejected a step or accepted a RAT addition is not shared, and
 // its queries — like those of analyzers without a cache or on a
 // delta-aware cache (CacheWithDelta) — are proof-logged from clause one
-// of a fresh encoding. Preprocessing and portfolio escalation stay on
-// either way: both are proof-logged, which is the point.
+// of a fresh encoding. Preprocessing stays on either way: it is
+// proof-logged, which is the point.
 // Threat enumeration (EnumerateThreats) is not certified — its blocking
 // clauses change the formula mid-stream; certify the individual
 // verdicts via Verify instead. Overhead is measured in EXPERIMENTS.md
@@ -271,7 +271,7 @@ func auditUnsat(ck *drat.Checker, assumptions []sat.Lit) error {
 
 // quarantine handles a certification divergence: the suspect verdict is
 // discarded and the query re-solved from a pristine encoding —
-// preprocessing, portfolio and cache all off, serial, itself
+// preprocessing and cache both off, itself
 // proof-checked — whose verdict replaces the reported one. The
 // re-solve is bounded by the analyzer's conflict budget and interrupt
 // only; fault-injection hooks are deliberately not re-armed, so an

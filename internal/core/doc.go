@@ -60,15 +60,6 @@
 //     encode+simplify. With the cache armed, MaxResiliencyCombined
 //     gallops up from k = 0 probing pristine clones instead of driving
 //     one accumulating incremental sweep solver.
-//   - WithPortfolio arms portfolio escalation: a query that survives a
-//     DefaultPortfolioThreshold-conflict serial prelude is re-run as a
-//     race of diversified solver replicas with clause sharing
-//     (sat.SolvePortfolio), carrying the prelude's learned clauses
-//     into every replica. Unsat and bound verdicts are identical to
-//     serial solving; a Sat witness may be a different, equally valid,
-//     minimal vector — which is why -sweep campaigns (contracted to
-//     byte-identical output across worker counts) keep both the cache
-//     and the portfolio off. WithPortfolioNoShare is the ablation knob.
 //
 // Every Result carries the per-solve sat.Stats (decisions, conflicts,
 // propagations, learned clauses, solve time) of the query that produced

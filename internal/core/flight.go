@@ -10,13 +10,12 @@ import (
 	"fmt"
 
 	"scadaver/internal/obs"
-	"scadaver/internal/sat"
 )
 
 // WithQueryRegistry mirrors every verification of this analyzer into
 // the live query registry: phase transitions, solver progress from the
-// probe, flight-recorder events (restarts, DB reductions, escalations,
-// retries, checkpoint flushes), and portfolio replica state. Budget
+// probe and flight-recorder events (restarts, DB reductions, retries,
+// checkpoint flushes). Budget
 // exhaustion additionally dumps the flight record into the trace and
 // appends it to Result.FailureReason. A nil registry (the default)
 // disables registration entirely.
@@ -102,23 +101,4 @@ func (a *Analyzer) flightReason(reason string, solveSpan *obs.Span) string {
 		return reason + " [flight: " + fl + "]"
 	}
 	return reason
-}
-
-// replicaSnapshots converts a portfolio race's per-replica accounting
-// into the registry's JSON view.
-func replicaSnapshots(ps sat.PortfolioStats) []obs.ReplicaSnapshot {
-	out := make([]obs.ReplicaSnapshot, len(ps.PerReplica))
-	for i, r := range ps.PerReplica {
-		out[i] = obs.ReplicaSnapshot{
-			ID:        r.ID,
-			Strategy:  r.Strategy,
-			Status:    r.Status.String(),
-			Conflicts: r.Conflicts,
-			Imported:  r.Imported,
-			Exported:  r.Exported,
-			Winner:    r.Winner,
-			Panicked:  r.Panicked,
-		}
-	}
-	return out
 }

@@ -62,8 +62,8 @@ func registryTotals(reg *obs.Registry) (queries, conflicts, solveSec float64) {
 // (default IEEE 14/30/57), a resiliency-boundary campaign (the Fig. 5
 // workload on one input) and the parallel k-sweep campaign, each
 // instrumented through its own metrics registry; then a boundary-only
-// row for each system in BoundaryOnly (default IEEE 118 — feasible at
-// the boundary since the portfolio, but its full k-sweep is not).
+// row for each system in BoundaryOnly (default IEEE 118 — its boundary
+// search is affordable, its full k-sweep is not).
 // opt.Trace is threaded through so a recorded run can also produce a
 // full phase trace. With opt.Certify, each system additionally gets a
 // "ksweep-certify" row — the same k-sweep with verdict certification

@@ -53,8 +53,8 @@ type Options struct {
 	MaxK int
 	// BoundaryOnly lists systems BenchRecord records with the boundary
 	// campaign only, skipping the k-sweep — large instances whose
-	// boundary became feasible with the portfolio but whose full sweep
-	// has not. Defaults to ieee118 when Systems is also defaulted.
+	// boundary search is affordable but whose full sweep is not.
+	// Defaults to ieee118 when Systems is also defaulted.
 	BoundaryOnly []string
 
 	// Trace, when set, is the parent span under which every campaign
@@ -81,13 +81,6 @@ type Options struct {
 	// verification then re-encodes its structure from scratch (the
 	// pre-optimization behaviour, kept for A/B measurements).
 	NoCache bool
-	// Portfolio arms portfolio escalation in every campaign analyzer:
-	// queries exceeding the escalation threshold race this many
-	// diversified solver replicas (core.WithPortfolio). <= 1 = serial.
-	Portfolio int
-	// PortfolioNoShare disables the learnt-clause exchange between
-	// replicas — the ablation leg of the §P3 methodology.
-	PortfolioNoShare bool
 	// Certify arms verdict certification in every campaign analyzer
 	// (core.WithCertification): proof-logged solves checked in-process,
 	// audited sat models, quarantine on divergence. The §R3 overhead
@@ -122,12 +115,6 @@ func (o Options) CoreOptions() []core.Option {
 	}
 	if o.Certify {
 		opts = append(opts, core.WithCertification(true))
-	}
-	if o.Portfolio > 1 {
-		opts = append(opts, core.WithPortfolio(o.Portfolio))
-		if o.PortfolioNoShare {
-			opts = append(opts, core.WithPortfolioNoShare(true))
-		}
 	}
 	return opts
 }

@@ -41,7 +41,6 @@ type Faults struct {
 
 	stallAfter    uint64 // solver stall: give up after N conflicts (0 = off)
 	panicTask     int64  // task index to panic on (< 0 = off)
-	panicReplica  int64  // portfolio replica index to panic on (< 0 = off)
 	panicEvery    bool   // panic on every matching task, not just once
 	solveDelay    time.Duration
 	mutationDelay time.Duration   // config-mutation stall (0 = off)
@@ -90,7 +89,6 @@ func New(seed int64) *Faults {
 		seed:         uint64(seed),
 		rng:          uint64(seed)*2862933555777941757 + 3037000493,
 		panicTask:    -1,
-		panicReplica: -1,
 		dropAfter:    -1,
 		flipVerdict:  -1,
 		corruptModel: -1,
@@ -114,33 +112,6 @@ func (f *Faults) PanicOnTask(i int) *Faults {
 	f.panicTask = int64(i)
 	f.panicFired.Store(false)
 	return f
-}
-
-// PanicOnReplica arms a portfolio-replica panic: in every portfolio
-// race, the replica with this index panics with ErrInjected as its
-// search starts. Unlike PanicOnTask this fault is not one-shot — every
-// race loses the same replica, which is exactly the repeatable
-// degradation portfolio chaos tests want. A negative index disarms.
-func (f *Faults) PanicOnReplica(i int) *Faults {
-	f.panicReplica = int64(i)
-	return f
-}
-
-// ReplicaHook returns the portfolio's replica-start hook for this plan,
-// or nil when the replica-panic fault is disarmed. The portfolio driver
-// must isolate the panic: the replica dies, the others decide.
-func (f *Faults) ReplicaHook() func(id int) {
-	if f == nil || f.panicReplica < 0 {
-		return nil
-	}
-	victim := f.panicReplica
-	return func(id int) {
-		if int64(id) != victim {
-			return
-		}
-		f.panics.Add(1)
-		panic(ErrInjected)
-	}
 }
 
 // DelaySolves arms artificial solve latency: every solve sleeps d

@@ -294,20 +294,6 @@ func (e *Encoder) Solve(assumptions ...*Formula) sat.Status {
 	return e.solver.Solve(lits...)
 }
 
-// SolvePortfolio decides the asserted constraints like Solve, but races
-// diversified solver replicas with clause sharing and inprocessing (see
-// sat.Solver.SolvePortfolio). The winning replica's state is adopted
-// into the encoder's solver, so Value, Model, and Block behave exactly
-// as after a serial Solve; an Unsat verdict is identical to serial
-// solving, while a Sat model may be a different valid assignment.
-func (e *Encoder) SolvePortfolio(opts sat.PortfolioOptions, assumptions ...*Formula) (sat.Status, sat.PortfolioStats) {
-	lits := make([]sat.Lit, len(assumptions))
-	for i, a := range assumptions {
-		lits[i] = e.Lit(a)
-	}
-	return e.solver.SolvePortfolio(opts, lits...)
-}
-
 // Model returns the values of all named variables after a Sat answer.
 type Model map[string]bool
 

@@ -33,9 +33,9 @@ const (
 )
 
 // FlightEvent is one entry in a query's flight recorder: a rare,
-// coarse solver or control-plane event (restart, DB reduction,
-// escalation, retry, checkpoint flush) with the conflict count at
-// which it happened and its offset from the query's start.
+// coarse solver or control-plane event (restart, DB reduction, retry,
+// checkpoint flush) with the conflict count at which it happened and
+// its offset from the query's start.
 type FlightEvent struct {
 	OffsetNanos int64  `json:"tNanos"`
 	Kind        string `json:"kind"`
@@ -43,45 +43,31 @@ type FlightEvent struct {
 	Conflicts   uint64 `json:"conflicts,omitempty"`
 }
 
-// ReplicaSnapshot describes one portfolio replica's contribution to a
-// query: its strategy, final status, and clause-sharing traffic.
-type ReplicaSnapshot struct {
-	ID        int    `json:"id"`
-	Strategy  string `json:"strategy"`
-	Status    string `json:"status,omitempty"`
-	Conflicts uint64 `json:"conflicts,omitempty"`
-	Imported  uint64 `json:"imported,omitempty"`
-	Exported  uint64 `json:"exported,omitempty"`
-	Winner    bool   `json:"winner,omitempty"`
-	Panicked  bool   `json:"panicked,omitempty"`
-}
-
 // QuerySnapshot is the point-in-time JSON view of a query served by
 // GET /v1/queries and streamed by /v1/queries/{id}/watch.
 type QuerySnapshot struct {
-	ID             uint64            `json:"id"`
-	Fingerprint    string            `json:"fingerprint,omitempty"`
-	Property       string            `json:"property"`
-	Budget         string            `json:"budget,omitempty"`
-	Phase          string            `json:"phase"`
-	Attempt        int               `json:"attempt"`
-	Conflicts      uint64            `json:"conflicts"`
-	ConflictBudget uint64            `json:"conflictBudget,omitempty"`
-	DeadlineNanos  int64             `json:"deadlineNanos,omitempty"`
-	Decisions      uint64            `json:"decisions"`
-	Propagations   uint64            `json:"propagations"`
-	Restarts       uint64            `json:"restarts"`
-	Reduces        uint64            `json:"reduces"`
-	LearntDB       int               `json:"learntDB"`
-	StartUnixNano  int64             `json:"startUnixNano"`
-	ElapsedNanos   int64             `json:"elapsedNanos"`
-	ConflictsPerS  float64           `json:"conflictsPerSec"`
-	Replicas       []ReplicaSnapshot `json:"replicas,omitempty"`
-	Events         []FlightEvent     `json:"events,omitempty"`
-	EventsDropped  uint64            `json:"eventsDropped,omitempty"`
-	Done           bool              `json:"done"`
-	Status         string            `json:"status,omitempty"`
-	FailureReason  string            `json:"failureReason,omitempty"`
+	ID             uint64        `json:"id"`
+	Fingerprint    string        `json:"fingerprint,omitempty"`
+	Property       string        `json:"property"`
+	Budget         string        `json:"budget,omitempty"`
+	Phase          string        `json:"phase"`
+	Attempt        int           `json:"attempt"`
+	Conflicts      uint64        `json:"conflicts"`
+	ConflictBudget uint64        `json:"conflictBudget,omitempty"`
+	DeadlineNanos  int64         `json:"deadlineNanos,omitempty"`
+	Decisions      uint64        `json:"decisions"`
+	Propagations   uint64        `json:"propagations"`
+	Restarts       uint64        `json:"restarts"`
+	Reduces        uint64        `json:"reduces"`
+	LearntDB       int           `json:"learntDB"`
+	StartUnixNano  int64         `json:"startUnixNano"`
+	ElapsedNanos   int64         `json:"elapsedNanos"`
+	ConflictsPerS  float64       `json:"conflictsPerSec"`
+	Events         []FlightEvent `json:"events,omitempty"`
+	EventsDropped  uint64        `json:"eventsDropped,omitempty"`
+	Done           bool          `json:"done"`
+	Status         string        `json:"status,omitempty"`
+	FailureReason  string        `json:"failureReason,omitempty"`
 }
 
 // WatchLine renders the snapshot as a single human-readable progress
@@ -97,9 +83,6 @@ func (q QuerySnapshot) WatchLine() string {
 		fmt.Fprintf(&b, "/%d", q.ConflictBudget)
 	}
 	fmt.Fprintf(&b, " (%.0f/s) restarts=%d learnt=%d", q.ConflictsPerS, q.Restarts, q.LearntDB)
-	if n := len(q.Replicas); n > 0 {
-		fmt.Fprintf(&b, " replicas=%d", n)
-	}
 	if q.Done {
 		fmt.Fprintf(&b, " done status=%s", q.Status)
 	}
@@ -269,7 +252,7 @@ func (r *QueryRegistry) complete(qs *QueryState, snap QuerySnapshot) {
 // QueryState is the live state of one registered query. The solving
 // goroutine updates the hot counters through lock-free atomics (fed
 // by the sat.SetProgress probe); rare transitions (phase changes,
-// flight events, replica views, completion) take a per-query mutex.
+// flight events, completion) take a per-query mutex.
 // All methods are no-ops on a nil receiver.
 type QueryState struct {
 	reg            *QueryRegistry
@@ -296,7 +279,6 @@ type QueryState struct {
 	evNext        int
 	evLen         int
 	eventsDropped uint64
-	replicas      []ReplicaSnapshot
 	done          bool
 	status        string
 	failureReason string
@@ -370,16 +352,6 @@ func (qs *QueryState) Record(kind, detail string, conflicts uint64) {
 	qs.mu.Unlock()
 }
 
-// SetReplicas publishes the portfolio replica view (racing or final).
-func (qs *QueryState) SetReplicas(replicas []ReplicaSnapshot) {
-	if qs == nil {
-		return
-	}
-	qs.mu.Lock()
-	qs.replicas = replicas
-	qs.mu.Unlock()
-}
-
 // Complete marks the query finished, moves it into the registry's
 // completed ring, and returns the final snapshot. Subsequent calls
 // are no-ops returning the zero snapshot.
@@ -431,10 +403,6 @@ func (qs *QueryState) snapshotLocked() QuerySnapshot {
 			events = append(events, qs.events[(qs.evNext-qs.evLen+i+cap)%cap])
 		}
 	}
-	var replicas []ReplicaSnapshot
-	if len(qs.replicas) > 0 {
-		replicas = append(replicas, qs.replicas...)
-	}
 	return QuerySnapshot{
 		ID:             qs.id,
 		Fingerprint:    qs.fingerprint,
@@ -453,7 +421,6 @@ func (qs *QueryState) snapshotLocked() QuerySnapshot {
 		StartUnixNano:  qs.start.UnixNano(),
 		ElapsedNanos:   int64(elapsed),
 		ConflictsPerS:  rate,
-		Replicas:       replicas,
 		Events:         events,
 		EventsDropped:  qs.eventsDropped,
 		Done:           qs.done,

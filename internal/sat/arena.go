@@ -21,10 +21,10 @@ import "math"
 // clause" (decisions and root facts have reason 0).
 //
 // A clause is never freed on its own. Deleting one (database reduction,
-// root cleaning) drops it from its list and counts its words as wasted;
-// shrinking one in place (ReduceRoot, vivification) counts the cut
-// tail. Once the wasted words pass a fixed share of the slab, compact
-// copies the live clauses into a fresh slab and relocates every cref.
+// ReduceRoot) drops it from its list and counts its words as wasted;
+// shrinking one in place (ReduceRoot) counts the cut tail. Once the
+// wasted words pass a fixed share of the slab, compact copies the live
+// clauses into a fresh slab and relocates every cref.
 
 // cref names a clause by its word offset in the clause arena.
 type cref uint32
@@ -141,7 +141,7 @@ func (s *Solver) maybeCompact() {
 // watchers their positions, and clauses keep their literal order, so
 // the search cannot tell the difference. Deleted clauses still on a
 // list move with it; every other clause must be off the watch lists
-// already (reduceDB and simplifyRoots call this after cleanWatches).
+// already (reduceDB calls this after cleanWatches).
 func (s *Solver) compact() {
 	old := s.ca.mem
 	to := make([]uint32, 1, len(old)-s.ca.wasted)

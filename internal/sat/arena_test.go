@@ -17,60 +17,56 @@ func liveWords(s *Solver) int {
 	return n
 }
 
-// TestArenaCompaction solves the golden random 3-SAT instance, with and
-// without inprocessing, and checks after every learned-database
-// reduction that the arena holds at most twice its live words and that
-// compaction really ran. The search itself is pinned by
-// TestSearchGoldenRandom3SAT on the same instance.
+// TestArenaCompaction solves the golden random 3-SAT instance and checks
+// after every learned-database reduction that the arena holds at most
+// twice its live words and that compaction really ran. The search itself
+// is pinned by TestSearchGoldenRandom3SAT on the same instance.
 func TestArenaCompaction(t *testing.T) {
-	for _, inprocess := range []bool{false, true} {
-		s := New()
-		goldenInstance(t, s, 3)
-		s.SetInprocess(inprocess)
-		compactions := 0
-		check := func(when string) {
-			if n, live := len(s.ca.mem), liveWords(s); n > 2*live {
-				t.Errorf("inprocess=%v %s: arena %d words, live %d", inprocess, when, n, live)
+	s := New()
+	goldenInstance(t, s, 3)
+	compactions := 0
+	check := func(when string) {
+		if n, live := len(s.ca.mem), liveWords(s); n > 2*live {
+			t.Errorf("%s: arena %d words, live %d", when, n, live)
+		}
+	}
+	s.SetEventHook(func(e Event) {
+		if e.Kind != EventReduce {
+			return
+		}
+		// Every reduction drops clauses, so no waste means the
+		// reduction just compacted.
+		if s.ca.wasted == 0 {
+			compactions++
+		}
+		check("after reduction")
+	})
+	s.Solve()
+	check("after solve")
+	if compactions == 0 {
+		t.Errorf("%d reductions, none compacted", s.Stats().Reduces)
+	}
+	// Relocation kept each header's learned flag, and every watcher
+	// and reason names a live clause header.
+	listed := map[cref]bool{}
+	for i, db := range [2][]cref{s.clauses, s.learned} {
+		for _, c := range db {
+			listed[c] = true
+			if learned := s.ca.mem[c]&clLearned != 0; learned != (i == 1) {
+				t.Fatalf("clause %d learned flag %v on the wrong list", c, learned)
 			}
 		}
-		s.SetEventHook(func(e Event) {
-			if e.Kind != EventReduce {
-				return
-			}
-			// Every reduction drops clauses, so no waste means the
-			// reduction just compacted.
-			if s.ca.wasted == 0 {
-				compactions++
-			}
-			check("after reduction")
-		})
-		s.Solve()
-		check("after solve")
-		if compactions == 0 {
-			t.Errorf("inprocess=%v: %d reductions, none compacted", inprocess, s.Stats().Reduces)
-		}
-		// Relocation kept each header's learned flag, and every watcher
-		// and reason names a live clause header.
-		listed := map[cref]bool{}
-		for i, db := range [2][]cref{s.clauses, s.learned} {
-			for _, c := range db {
-				listed[c] = true
-				if learned := s.ca.mem[c]&clLearned != 0; learned != (i == 1) {
-					t.Fatalf("inprocess=%v: clause %d learned flag %v on the wrong list", inprocess, c, learned)
-				}
+	}
+	for l, ws := range s.watches {
+		for _, w := range ws[:s.wn[l]] {
+			if !listed[w.c] || s.ca.deleted(w.c) {
+				t.Fatalf("watcher of literal %d names clause %d, not a live listed clause", l, w.c)
 			}
 		}
-		for l, ws := range s.watches {
-			for _, w := range ws[:s.wn[l]] {
-				if !listed[w.c] || s.ca.deleted(w.c) {
-					t.Fatalf("inprocess=%v: watcher of literal %d names clause %d, not a live listed clause", inprocess, l, w.c)
-				}
-			}
-		}
-		for _, l := range s.trail {
-			if r := s.reason[l.Var()]; r != 0 && !listed[r] {
-				t.Fatalf("inprocess=%v: reason of %v names unlisted clause %d", inprocess, l, r)
-			}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != 0 && !listed[r] {
+			t.Fatalf("reason of %v names unlisted clause %d", l, r)
 		}
 	}
 }

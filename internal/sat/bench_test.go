@@ -81,37 +81,3 @@ func BenchmarkSolveConflicts(b *testing.B) {
 		s.Solve(a1, a2)
 	}
 }
-
-// benchPortfolio measures a saturated 4-replica race on PHP(8,7) — a
-// conflict-heavy unsat instance where the replicas restart often enough
-// for the exchange ring to carry traffic. Toggling sharing isolates the
-// exchange's contribution (EXPERIMENTS.md §P3): conflicts/solve is the
-// adopted winner's conflict count and imports/solve the clauses it
-// attached from other replicas.
-func benchPortfolio(b *testing.B, noShare bool) {
-	var conflicts, imported uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New()
-		php(b, s, 8, 7)
-		b.StartTimer()
-		status, pst := s.SolvePortfolio(PortfolioOptions{
-			Replicas:      4,
-			MaxConcurrent: -1,
-			NoSharing:     noShare,
-		})
-		if status != Unsat {
-			b.Fatalf("PHP(7,6) = %v, want unsat", status)
-		}
-		if pst.Winner < 0 {
-			b.Fatal("no replica decided")
-		}
-		conflicts += s.Stats().Conflicts
-		imported += pst.Imported
-	}
-	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/solve")
-	b.ReportMetric(float64(imported)/float64(b.N), "imports/solve")
-}
-
-func BenchmarkPortfolioSharing(b *testing.B)   { benchPortfolio(b, false) }
-func BenchmarkPortfolioNoSharing(b *testing.B) { benchPortfolio(b, true) }

@@ -7,12 +7,12 @@ package sat
 // mutation — but they were derived against the OLD clause database, so
 // they cannot be transplanted on trust. HarvestLearnts extracts
 // transferable candidates from a retiring solver; ImportLearnts
-// re-admits them into a successor with the same vetting the portfolio
-// applies to shared clauses (root-value filtering, eliminated-variable
-// checks) plus a mandatory reverse-unit-propagation test against the
-// NEW database. The RUP gate is what makes carryover unconditionally
-// sound — variable filtering alone is not, since resolution can
-// launder a dirty dependency into a clause over clean variables.
+// re-admits them into a successor after vetting each one: root-value
+// filtering, eliminated-variable checks and a mandatory
+// reverse-unit-propagation test against the NEW database. The RUP gate
+// is what makes carryover unconditionally sound — variable filtering
+// alone is not, since resolution can launder a dirty dependency into a
+// clause over clean variables.
 
 // SavedPhases returns a copy of the saved-phase (polarity) array for
 // the first n variables (all of them when n <= 0 or out of range).
@@ -97,14 +97,13 @@ func (s *Solver) HarvestLearnts(maxVar, maxLen, limit int) [][]Lit {
 
 // ImportLearnts re-admits harvested clauses into this solver and
 // returns how many were accepted. It must be called at decision level
-// 0 on a solver whose problem clauses are already loaded. Every
-// candidate is vetted like a portfolio-shared clause — skipped when it
-// mentions an eliminated variable or is root-satisfied, root-false
-// literals stripped — and additionally must pass a reverse-unit-
-// propagation check against this database, so a clause that depended on
-// retired constraints is dropped rather than imported unsoundly. With a
-// proof recorder armed, accepted imports are logged as derived
-// additions (they are RUP, so the DRAT checker accepts them).
+// 0 on a solver whose problem clauses are already loaded. A candidate
+// is skipped when it mentions an eliminated variable or is
+// root-satisfied, has its root-false literals stripped, and must pass a
+// reverse-unit-propagation check against this database, so a clause
+// that depended on retired constraints is dropped rather than imported
+// unsoundly. With a proof writer armed, accepted imports are logged as
+// derived additions (they are RUP, so the DRAT checker accepts them).
 func (s *Solver) ImportLearnts(cands [][]Lit) int {
 	if s == nil || s.decisionLevel() != 0 {
 		return 0

@@ -7,9 +7,9 @@ import "slices"
 // watches, activities, saved phases, and the elimination stack of a
 // previous Simplify all carry over; per-solve hooks (interrupt, conflict
 // hook, progress probe, proof writer) and the cumulative statistics do
-// not — portfolio replicas install their own recording proof hooks. The copy
-// shares no mutable state with the original, so clones may be solved
-// concurrently — this is what the encoding cache hands out per query.
+// not. The copy shares no mutable state with the original, so clones
+// may be solved concurrently — this is what the encoding cache hands
+// out per query.
 //
 // Clone must be taken at decision level 0 (any active search is unwound
 // first). Root-level antecedents are dropped in the copy: conflict
@@ -25,9 +25,6 @@ func (s *Solver) Clone() *Solver {
 		clauseDecay:    s.clauseDecay,
 		maxLearned:     s.maxLearned,
 		restartBase:    s.restartBase,
-		restartGeom:    s.restartGeom,
-		inprocess:      s.inprocess,
-		geomLimit:      s.geomLimit,
 		lubyIdx:        s.lubyIdx,
 		conflictBudget: s.conflictBudget,
 		rootUnsat:      s.rootUnsat,

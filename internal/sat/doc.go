@@ -38,21 +38,13 @@
 // cache in package core pairs the two, simplifying a structural
 // snapshot once and handing every subsequent query a private clone.
 //
-// # Portfolio solving
+// # One search path
 //
-// SolvePortfolio races diversified clones of the solver and returns
-// the first verdict (PortfolioOptions selects the replica count,
-// clause sharing, and concurrent-admission cap; PortfolioStats reports
-// the winner, its strategy label, and the exchange volume). Each
-// replica takes a distinct row of a fixed diversification matrix —
-// VSIDS decay, restart schedule, initial polarity — and replicas
-// export short, low-LBD learned clauses through a bounded ring that
-// the others import at their next restart. SetInprocess additionally
-// arms a light inprocessing pass at restarts (default off; portfolio
-// replicas switch it on). The losing replicas are cooperatively
-// interrupted, replica panics are isolated, and the winner's
-// statistics are merged back into the base solver. See DESIGN.md §12
-// for the soundness and determinism argument.
+// Every verdict comes from one serial CDCL search on one solver. Racing
+// diversified clones with learned-clause sharing, and strengthening
+// learned clauses between restarts, were both tried and removed:
+// neither beat the plain search on a recorded benchmark (DESIGN.md §12,
+// EXPERIMENTS.md §P3).
 //
 // # Instrumentation and control
 //

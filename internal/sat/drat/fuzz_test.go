@@ -43,8 +43,8 @@ func cnfFromBytes(data []byte) (nv int, cnf [][]int) {
 
 // FuzzDRATCheck cross-checks the proof pipeline on fuzz-shaped CNFs:
 //
-//  1. Completeness — every proof the solver emits (plain, simplified,
-//     or inprocessed pipeline, chosen by an input byte) must check, and
+//  1. Completeness — every proof the solver emits (plain or simplified
+//     pipeline, chosen by an input byte) must check, and
 //     an Unsat verdict must be certifiable via VerifyUnsat.
 //  2. Verdict soundness — solver answers must match brute force.
 //  3. Checker soundness — weakening the logged input formula (dropping
@@ -82,11 +82,8 @@ func FuzzDRATCheck(f *testing.F) {
 				t.Fatalf("AddClause(%v): %v", cl, err)
 			}
 		}
-		switch data[len(data)-1] % 3 {
-		case 1:
+		if data[len(data)-1]%3 == 1 {
 			s.Simplify()
-		case 2:
-			s.SetInprocess(true)
 		}
 		st := s.Solve()
 		want := bruteForceSat(nv, cnf)

@@ -60,38 +60,3 @@ func TestEventKindString(t *testing.T) {
 		}
 	}
 }
-
-// TestPortfolioPerReplicaStats: a portfolio race reports one
-// ReplicaStats per replica with the deterministic strategy assignment,
-// and the winner is flagged consistently with the aggregate fields.
-func TestPortfolioPerReplicaStats(t *testing.T) {
-	s := pigeonholeSolver(t, 6)
-	status, pst := s.SolvePortfolio(PortfolioOptions{Replicas: 3})
-	if status != Unsat {
-		t.Fatalf("SolvePortfolio = %v, want Unsat", status)
-	}
-	if len(pst.PerReplica) != 3 {
-		t.Fatalf("PerReplica = %d entries, want 3", len(pst.PerReplica))
-	}
-	winners := 0
-	for i, rep := range pst.PerReplica {
-		if rep.ID != i {
-			t.Fatalf("PerReplica[%d].ID = %d", i, rep.ID)
-		}
-		if want := StrategyName(i); rep.Strategy != want {
-			t.Fatalf("PerReplica[%d].Strategy = %q, want %q", i, rep.Strategy, want)
-		}
-		if rep.Winner {
-			winners++
-			if i != pst.Winner {
-				t.Fatalf("winner flag on replica %d, aggregate says %d", i, pst.Winner)
-			}
-			if rep.Strategy != pst.Strategy {
-				t.Fatalf("winner strategy %q != aggregate %q", rep.Strategy, pst.Strategy)
-			}
-		}
-	}
-	if pst.Winner >= 0 && winners != 1 {
-		t.Fatalf("decided race flagged %d winners", winners)
-	}
-}

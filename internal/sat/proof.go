@@ -3,7 +3,7 @@ package sat
 // DRAT-style proof logging. When a ProofWriter is installed via
 // SetProofHook the solver narrates every change it makes to the clause
 // database: original clauses as they are asserted (ProofInput), derived
-// clauses as they are learned or produced by pre-/inprocessing
+// clauses as they are learned or produced by preprocessing
 // (ProofAdd), and clauses it stops using (ProofDelete). The resulting
 // step sequence is a standard DRAT proof — every ProofAdd is a reverse-
 // unit-propagation (RUP) consequence of the clauses alive at that point
@@ -17,7 +17,7 @@ package sat
 //     formula is exactly what was asserted; the solver's internally
 //     stored (filtered) clause is propagation-equivalent given the root
 //     units the log also contains.
-//   - Strengthened clauses (self-subsumption, vivification) are logged
+//   - Strengthened clauses (self-subsumption) are logged
 //     as an Add of the shorter clause followed by a Delete of the
 //     original, in that order: the Add is RUP while the original is
 //     still present.
@@ -96,37 +96,13 @@ func (s *Solver) markRootUnsat() {
 	}
 }
 
-// proofRecorder buffers proof steps in memory. Portfolio replicas log
-// into private recorders; the adopted replica's recording is replayed
-// into the parent's writer so the final proof matches the state the
-// caller actually observes (see SolvePortfolio).
-type proofRecorder struct {
-	steps []recordedStep
-}
-
-type recordedStep struct {
-	op   ProofOp
-	lits []Lit
-}
-
-// Step implements ProofWriter.
-func (r *proofRecorder) Step(op ProofOp, lits []Lit) {
-	r.steps = append(r.steps, recordedStep{op: op, lits: append([]Lit(nil), lits...)})
-}
-
-// replay forwards every recorded step to w in order.
-func (r *proofRecorder) replay(w ProofWriter) {
-	for _, st := range r.steps {
-		w.Step(st.op, st.lits)
-	}
-}
-
 // rupImplied reports whether the clause is a reverse-unit-propagation
 // consequence of the current database: assuming the negation of every
 // literal and propagating yields a conflict (or some literal is already
 // true at the root). It must be called at decision level 0, leaves the
-// solver back at level 0, and emits no proof steps itself — the
-// portfolio uses it to vet shared clauses before logging their import.
+// solver back at level 0, and emits no proof steps itself —
+// ImportLearnts uses it to vet carried clauses before logging their
+// import.
 func (s *Solver) rupImplied(lits []Lit) bool {
 	if s.rootUnsat {
 		return true

@@ -127,3 +127,20 @@ func (s *Solver) ProbeRoot(maxProbes int) bool {
 	s.probeFailedLiterals(maxProbes)
 	return !s.rootUnsat
 }
+
+// detach removes c's two watchers. The watched literals are always at
+// positions 0 and 1 (the propagation invariant); a watcher already
+// dropped by lazy deletion is simply not found, which is fine.
+func (s *Solver) detach(c cref) {
+	for _, w := range [2]Lit{s.ca.lit(c, 0), s.ca.lit(c, 1)} {
+		l := w.Neg()
+		ws := s.watches[l][:s.wn[l]]
+		for i := range ws {
+			if ws[i].c == c {
+				ws[i] = ws[len(ws)-1]
+				s.wn[l]--
+				break
+			}
+		}
+	}
+}

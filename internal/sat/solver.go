@@ -69,32 +69,9 @@ type Solver struct {
 	eliminated []bool
 	elimStack  []elimRecord
 
-	// Restart bookkeeping. restartGeom > 1 selects a geometric schedule
-	// (the limit grows by that factor each restart); otherwise the Luby
-	// sequence over restartBase is used. Portfolio replicas diversify
-	// both (see portfolio.go).
+	// Restart bookkeeping: the Luby sequence over restartBase.
 	lubyIdx     int
 	restartBase int
-	restartGeom float64
-	geomLimit   int
-
-	// Portfolio seams (see portfolio.go). learnHook observes every
-	// clause learned by conflict analysis (the exchange export side);
-	// restartHook runs at the root level after each restart unwinds (the
-	// import + inprocessing side). Both are nil outside portfolio
-	// replicas; the disabled cost is one nil-check per conflict/restart.
-	learnHook   func(lits []Lit, lbd int32)
-	restartHook func()
-
-	// vivifyNext rotates clause vivification through the learned DB so
-	// successive inprocessing rounds touch different clauses.
-	vivifyNext int
-
-	// inprocess arms between-restart inprocessing (root-level database
-	// cleaning plus clause vivification, every inprocessEvery restarts)
-	// on the serial solve path. Portfolio replicas inprocess through
-	// their restartHook instead, which takes precedence.
-	inprocess bool
 
 	// Budget: 0 = unlimited.
 	conflictBudget uint64
@@ -118,7 +95,7 @@ type Solver struct {
 	eventHook func(Event)
 
 	// Proof logging seam (see proof.go): every clause-database change —
-	// inputs, learned clauses, pre-/inprocessing derivations, deletions
+	// inputs, learned clauses, preprocessing derivations, deletions
 	// — is narrated as a DRAT step when armed. Nil outside certified
 	// runs; the disabled cost is one nil-check per database change.
 	proof ProofWriter
@@ -185,16 +162,6 @@ func (s *Solver) SetInterrupt(f func() bool) { s.interrupt = f }
 // solves at reproducible points. A nil hook disables the seam; the
 // disabled cost is one nil-check per conflict.
 func (s *Solver) SetConflictHook(f func(conflicts uint64) bool) { s.conflictHook = f }
-
-// SetInprocess arms (or disarms) between-restart inprocessing on the
-// serial solve path: every inprocessEvery restarts the solver removes
-// root-satisfied clauses and vivifies a bounded rotation of its learned
-// DB (see vivify.go). Inprocessing is deterministic — the same solve
-// runs the same rounds — and equisatisfiable, so verdicts never change;
-// long solves keep shrinking their clause database instead of paying
-// ever-longer propagations. Portfolio replicas inprocess through their
-// restart hook instead; this knob only affects plain Solve calls.
-func (s *Solver) SetInprocess(v bool) { s.inprocess = v }
 
 // SetProgress installs a progress probe fired from inside Solve every
 // `every` conflicts, so long searches (multi-second unsat proofs in
@@ -671,9 +638,6 @@ func (s *Solver) record(lits []Lit) {
 	// First-UIP clauses (minimization included) are RUP by construction.
 	s.proofStep(ProofAdd, lits)
 	if len(lits) == 1 {
-		if s.learnHook != nil {
-			s.learnHook(lits, 1)
-		}
 		s.uncheckedEnqueue(lits[0], 0)
 		return
 	}
@@ -684,10 +648,6 @@ func (s *Solver) record(lits []Lit) {
 	s.stats.Learned++
 	s.attach(c)
 	s.bumpClause(c)
-	if s.learnHook != nil {
-		// lits is analyze's scratch; exporters must copy.
-		s.learnHook(lits, lbd)
-	}
 	s.uncheckedEnqueue(lits[0], c)
 }
 
@@ -774,18 +734,9 @@ func luby(i int) int {
 	}
 }
 
-// nextRestartLimit advances the restart schedule and returns the number
-// of conflicts allowed before the next restart: geometric growth when
-// restartGeom > 1, the Luby sequence over restartBase otherwise.
+// nextRestartLimit returns the number of conflicts allowed before the
+// next restart: the Luby sequence over restartBase.
 func (s *Solver) nextRestartLimit() int {
-	if s.restartGeom > 1 {
-		if s.geomLimit < s.restartBase {
-			s.geomLimit = s.restartBase
-		} else {
-			s.geomLimit = int(float64(s.geomLimit)*s.restartGeom) + 1
-		}
-		return s.geomLimit
-	}
 	return s.restartBase * luby(s.lubyIdx+1)
 }
 
@@ -867,28 +818,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			conflictsAtRestart = 0
 			s.cancelUntil(0)
 			s.fireEvent(EventRestart)
-			if s.restartHook != nil {
-				// Portfolio import + inprocessing runs at the root. It may
-				// add clauses and root units, or discover root-level unsat.
-				s.restartHook()
-				if s.rootUnsat {
-					return Unsat
-				}
-				if s.propagate() != 0 {
-					s.markRootUnsat()
-					return Unsat
-				}
-			} else if s.inprocess && s.stats.Restarts%inprocessEvery == 0 {
-				s.simplifyRoots()
-				s.vivifyRound(vivifyClausesPerRound)
-				if s.rootUnsat {
-					return Unsat
-				}
-				if s.propagate() != 0 {
-					s.markRootUnsat()
-					return Unsat
-				}
-			}
 			continue
 		}
 		if len(s.learned) > s.maxLearned+len(s.trail) {

@@ -2,7 +2,6 @@ package sat
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"time"
 )
@@ -159,10 +158,8 @@ type Stats struct {
 	StrengthenedClauses uint64        // literals removed by self-subsuming resolution
 	FailedLits          uint64        // literals fixed by failed-literal probing
 	SimplifyTime        time.Duration // wall time spent inside Simplify
-	// Portfolio and inprocessing counters (Solver.SolvePortfolio).
-	VivifiedClauses uint64 // learned clauses strengthened by vivification
-	ImportedClauses uint64 // shared clauses imported from the exchange ring
-	ExportedClauses uint64 // learned clauses exported to the exchange ring
+	// Carryover counter (Solver.ImportLearnts).
+	ImportedClauses uint64 // harvested clauses accepted by the RUP gate
 	MaxVars         int
 	Clauses         int
 }
@@ -240,44 +237,19 @@ func (st Stats) Sub(prev Stats) Stats {
 		StrengthenedClauses: st.StrengthenedClauses - prev.StrengthenedClauses,
 		FailedLits:          st.FailedLits - prev.FailedLits,
 		SimplifyTime:        st.SimplifyTime - prev.SimplifyTime,
-		VivifiedClauses:     st.VivifiedClauses - prev.VivifiedClauses,
 		ImportedClauses:     st.ImportedClauses - prev.ImportedClauses,
-		ExportedClauses:     st.ExportedClauses - prev.ExportedClauses,
 		MaxVars:             st.MaxVars,
 		Clauses:             st.Clauses,
 	}
 }
 
-// add returns the counterwise sum st + d. It folds a portfolio replica's
-// statistics (replicas are fresh clones, so their counters are already
-// per-race deltas) into the adopting solver's cumulative totals. The
-// reflection walk mirrors the completeness contract of Sub: uint64
-// counters and durations are summed, while the absolute instance-size
-// fields (int kind: MaxVars, Clauses) take the replica's current view.
-func (st Stats) add(d Stats) Stats {
-	sv := reflect.ValueOf(&st).Elem()
-	dv := reflect.ValueOf(d)
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + dv.Field(i).Uint())
-		case reflect.Int64: // time.Duration
-			f.SetInt(f.Int() + dv.Field(i).Int())
-		case reflect.Int:
-			f.SetInt(dv.Field(i).Int())
-		}
-	}
-	return st
-}
-
 // String implements fmt.Stringer.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"vars=%d clauses=%d conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d removed=%d reduces=%d solves=%d solve_ms=%.2f elim_vars=%d subsumed=%d strengthened=%d failed_lits=%d simplify_ms=%.2f vivified=%d imported=%d exported=%d",
+		"vars=%d clauses=%d conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d removed=%d reduces=%d solves=%d solve_ms=%.2f elim_vars=%d subsumed=%d strengthened=%d failed_lits=%d simplify_ms=%.2f imported=%d",
 		st.MaxVars, st.Clauses, st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned, st.Removed,
 		st.Reduces, st.Solves, float64(st.SolveTime.Microseconds())/1000,
 		st.ElimVars, st.SubsumedClauses, st.StrengthenedClauses, st.FailedLits,
 		float64(st.SimplifyTime.Microseconds())/1000,
-		st.VivifiedClauses, st.ImportedClauses, st.ExportedClauses)
+		st.ImportedClauses)
 }

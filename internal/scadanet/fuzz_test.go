@@ -2,6 +2,7 @@ package scadanet
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,33 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if back.Msrs.Len() != parsed.Msrs.Len() {
 			t.Fatalf("round trip changed measurement count %d -> %d", parsed.Msrs.Len(), back.Msrs.Len())
+		}
+	})
+}
+
+// FuzzParseDelta checks that arbitrary input never panics the delta
+// parser and that every accepted delta survives a print/parse round
+// trip unchanged.
+func FuzzParseDelta(f *testing.F) {
+	f.Add("link-remove 7; device-down 3; link-add 2 9 hmac 128; key-rotate 4 256")
+	f.Add("device-up 1")
+	f.Add("device-down 2")
+	f.Add("link-add 1 2")
+	f.Add("link-remove 3")
+	f.Add("link-reprofile 4 aes 256")
+	f.Add("key-rotate 5 128")
+
+	f.Fuzz(func(t *testing.T, input string) {
+		d, err := ParseDelta(input)
+		if err != nil {
+			return
+		}
+		back, err := ParseDelta(d.String())
+		if err != nil {
+			t.Fatalf("round trip of %q failed: %v", d.String(), err)
+		}
+		if !reflect.DeepEqual(back, d) {
+			t.Fatalf("round trip changed the delta:\n%#v\n%#v", d, back)
 		}
 	})
 }

@@ -47,13 +47,6 @@ type Options struct {
 	QueueDepth int
 	// Workers is the fixed worker-pool size (default GOMAXPROCS).
 	Workers int
-	// Portfolio arms portfolio escalation in every worker's analyzer:
-	// a query exceeding the escalation threshold is raced across this
-	// many diversified solver replicas (see core.WithPortfolio). Since
-	// each escalated query may run Portfolio goroutines at once, the
-	// worker pool is shrunk to Workers/Portfolio (min 1) so replicas do
-	// not oversubscribe the admission pipeline. <= 1 disables.
-	Portfolio int
 
 	// DefaultBudget applies when a request carries no budget; it is
 	// clamped by MaxBudget like any request budget (default: 10s
@@ -158,16 +151,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Portfolio > 1 {
-		// Replica accounting: an escalated query fans out into Portfolio
-		// solver goroutines, so divide the pool to keep total solver
-		// concurrency at the configured level.
-		if w := o.Workers / o.Portfolio; w >= 1 {
-			o.Workers = w
-		} else {
-			o.Workers = 1
-		}
 	}
 	if !o.DefaultBudget.Enabled() {
 		o.DefaultBudget = core.QueryBudget{Deadline: 10 * time.Second}
@@ -388,9 +371,6 @@ func (s *Server) analyzerOptions(b core.QueryBudget) []core.Option {
 	}
 	if s.opts.Certify {
 		opts = append(opts, core.WithCertification(true))
-	}
-	if s.opts.Portfolio > 1 {
-		opts = append(opts, core.WithPortfolio(s.opts.Portfolio))
 	}
 	if s.opts.Faults != nil {
 		opts = append(opts, core.WithFaults(s.opts.Faults))

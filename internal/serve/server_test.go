@@ -456,26 +456,3 @@ func TestRequestDeadlineBounds(t *testing.T) {
 		t.Fatalf("unbounded requestDeadline = %v, want %v", d, s.opts.RequestTimeout)
 	}
 }
-
-// TestPortfolioWorkerAccounting pins the replica accounting: arming an
-// N-replica portfolio divides the worker pool by N (never below one
-// worker), so total solver concurrency stays at the configured level.
-func TestPortfolioWorkerAccounting(t *testing.T) {
-	cases := []struct {
-		workers, portfolio, want int
-	}{
-		{8, 2, 4},
-		{8, 4, 2},
-		{4, 4, 1},
-		{2, 8, 1}, // more replicas than workers: floor at one worker
-		{8, 1, 8}, // <= 1 disables, pool untouched
-		{8, 0, 8},
-	}
-	for _, tc := range cases {
-		o := Options{Workers: tc.workers, Portfolio: tc.portfolio}.withDefaults()
-		if o.Workers != tc.want {
-			t.Fatalf("workers=%d portfolio=%d: pool %d, want %d",
-				tc.workers, tc.portfolio, o.Workers, tc.want)
-		}
-	}
-}

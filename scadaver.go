@@ -187,17 +187,6 @@ func WithEncodingCache(c *EncodingCache) Option { return core.WithEncodingCache(
 // elimination. Verdicts are unchanged; searches start smaller.
 func WithPresimplify(on bool) Option { return core.WithPresimplify(on) }
 
-// WithPortfolio arms portfolio escalation: a query that survives a
-// serial prelude is re-run as a race of n diversified solver replicas
-// with clause sharing (n <= 1 keeps solving serial). Unsat and bound
-// verdicts match serial solving exactly; a sat witness may be a
-// different, equally valid, minimal vector.
-func WithPortfolio(n int) Option { return core.WithPortfolio(n) }
-
-// WithPortfolioNoShare disables the learnt-clause exchange between
-// portfolio replicas (the benchmark ablation knob).
-func WithPortfolioNoShare(v bool) Option { return core.WithPortfolioNoShare(v) }
-
 // DefaultPolicy returns the paper's Section III-D security policy.
 func DefaultPolicy() *SecurityPolicy { return secpolicy.Default() }
 
