@@ -77,7 +77,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		checkpoint = fs.String("checkpoint", "", "resumable checkpoint file for -sweep campaigns and threat enumeration")
 		keepGoing  = fs.Bool("keep-going", true, "for parallel -sweep: isolate per-query failures instead of aborting the campaign")
 		presimp    = fs.Bool("presimplify", false, "preprocess the CNF before search (unit propagation, subsumption, variable elimination)")
-		certify    = fs.Bool("certify", false, "certify every verdict: proof-log the solve and check it in-process (DRAT), audit sat models against a pristine re-encode, and quarantine+re-solve on divergence")
+		certify    = fs.Bool("certify", false, "certify every verdict: proof-log the solve and check it in-process (DRAT), check sat models against the query formula, and quarantine+re-solve on divergence")
 		noCache    = fs.Bool("no-cache", false, "disable the cross-query encoding cache (re-encode the structure per query)")
 		mutateStr  = fs.String("mutate", "", "apply a mutation delta before verification (\"link-remove 7; device-down 3; key-rotate 4 256\"): the pre-mutation structure is verified first to warm the delta-aware encoding cache, then only the delta's dirty cone is re-encoded (see the delta/carried counters under -stats)")
 		showVer    = fs.Bool("version", false, "print version and exit")

@@ -242,9 +242,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(drainCtx)
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && drainErr == nil {
+	if err := shutdownHTTP(httpSrv, shutdownGrace); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	<-errCh // Serve has returned http.ErrServerClosed
@@ -324,14 +322,32 @@ func runCoordinator(p coordinatorParams, out io.Writer, ready chan<- string) err
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(out, "scada-served: coordinator shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
+	if err := shutdownHTTP(httpSrv, shutdownGrace); err != nil {
 		return err
 	}
 	<-errCh
 	fmt.Fprintln(out, "scada-served: coordinator exited")
 	return nil
+}
+
+// shutdownGrace bounds how long a shutting-down server waits for its
+// open connections to go idle.
+const shutdownGrace = 5 * time.Second
+
+// shutdownHTTP stops srv: it closes the listeners, then waits up to
+// grace for open connections to go idle, and closes those still open at
+// the deadline instead of failing. A deadline is no error here: net/http
+// counts a connection accepted but not yet read as active for five
+// seconds, so a client that connected just before the signal would
+// otherwise turn a clean exit into context.DeadlineExceeded.
+func shutdownHTTP(srv *http.Server, grace time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	err := srv.Shutdown(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return srv.Close()
+	}
+	return err
 }
 
 // announceJoin registers this member with the coordinator, retrying

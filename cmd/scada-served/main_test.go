@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -220,5 +222,44 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(coordOut.String(), "coordinator exited") {
 		t.Fatalf("coordinator output %q does not report a clean exit", coordOut.String())
+	}
+}
+
+// TestShutdownHTTPCutsUnreadConnection pins the shutdown path that made
+// TestClusterModeEndToEnd flaky: a connection the server accepted but
+// never read from counts as active, so Shutdown waits on it until its
+// deadline. shutdownHTTP must then close the connection and report a
+// clean stop rather than context.DeadlineExceeded.
+func TestShutdownHTTPCutsUnreadConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{})
+	srv := &http.Server{
+		Handler: http.NotFoundHandler(),
+		ConnState: func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				close(accepted)
+			}
+		},
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-accepted
+
+	if err := shutdownHTTP(srv, time.Millisecond); err != nil {
+		t.Fatalf("shutdownHTTP = %v, want a clean stop", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the unread connection is still open")
 	}
 }

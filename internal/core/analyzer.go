@@ -217,12 +217,13 @@ type Result struct {
 
 	// Certification attestation (WithCertification; see certify.go).
 	// Certified reports the verdict was independently checked: a Sat
-	// model re-validated against a pristine re-encode and the direct
-	// evaluator, an Unsat answer replayed through the DRAT proof
-	// checker. Quarantined is set when the first audit diverged and the
-	// pristine quarantine re-solve produced the reported verdict;
-	// CertifyError then records the divergence (and the quarantine's
-	// own failure, if any). ProofClauses counts derived clause
+	// witness re-validated by the direct evaluator and its model by
+	// strict evaluation of the query's formulas, an Unsat answer
+	// replayed through the DRAT proof checker. Quarantined is set when
+	// the first audit diverged and the pristine quarantine re-solve
+	// produced the reported verdict; CertifyError then records the
+	// divergence (and the quarantine's own failure, if any).
+	// ProofClauses counts derived clause
 	// additions the checker accepted on this query's solver (cumulative
 	// across a Sweep's shared solver; on a cached snapshot it includes
 	// the snapshot's prelude, so it is the size of the whole checked
@@ -794,7 +795,20 @@ func (a *Analyzer) encode(q Query) *logic.Encoder {
 // consulted; the failure budget and the goal are NOT asserted, which is
 // what lets Sweep reuse one structural encoding across a whole k-sweep.
 func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
+	asserted, delivered := a.structureFormulas(q)
 	enc := a.newEncoder()
+	for _, f := range asserted {
+		enc.Assert(f)
+	}
+	return enc, delivered
+}
+
+// structureFormulas builds the formulas encodeStructure asserts, in the
+// order it asserts them — the order fixes the CNF's variable numbering
+// and clause order — together with the per-measurement delivered terms
+// (1-based index). The Sat audit evaluates the same list under the
+// solver's model (auditModel).
+func (a *Analyzer) structureFormulas(q Query) (asserted, delivered []*logic.Formula) {
 	secured := q.Property != Observability
 
 	// Device availability: statically down devices are fixed; the MTU
@@ -802,7 +816,7 @@ func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
 	// covers IEDs and RTUs).
 	for _, d := range append(append([]*scadanet.Device(nil), a.fieldIEDs...), a.fieldRTUs...) {
 		if d.Down {
-			enc.Assert(logic.Not(nodeVar(d.ID)))
+			asserted = append(asserted, logic.Not(nodeVar(d.ID)))
 		}
 	}
 	// Link status. Under a link-failure budget (KL > 0) healthy links
@@ -812,15 +826,15 @@ func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
 	for _, l := range a.cfg.Net.Links() {
 		switch {
 		case l.Down:
-			enc.Assert(logic.Not(linkVar(l.ID)))
+			asserted = append(asserted, logic.Not(linkVar(l.ID)))
 		case q.KL > 0:
 			linkFailures = append(linkFailures, logic.Not(linkVar(l.ID)))
 		default:
-			enc.Assert(linkVar(l.ID))
+			asserted = append(asserted, linkVar(l.ID))
 		}
 	}
 	if q.KL > 0 {
-		enc.Assert(logic.AtMost(q.KL, linkFailures...))
+		asserted = append(asserted, logic.AtMost(q.KL, linkFailures...))
 	}
 
 	// Static per-hop configuration judgements are encoded as named
@@ -831,11 +845,11 @@ func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
 	// paper observes in Fig. 5(b).
 	for _, l := range a.cfg.Net.Links() {
 		protoOK, cryptoOK := a.cfg.Net.HopPairing(l)
-		enc.Assert(logic.Iff(pairVar(l.ID), logic.Const(protoOK && cryptoOK)))
+		asserted = append(asserted, logic.Iff(pairVar(l.ID), logic.Const(protoOK && cryptoOK)))
 		if secured {
 			caps := a.cfg.Net.HopCaps(l, a.policy)
 			ok := caps.Has(secpolicy.Authenticates | secpolicy.IntegrityProtects)
-			enc.Assert(logic.Iff(secVar(l.ID), logic.Const(ok)))
+			asserted = append(asserted, logic.Iff(secVar(l.ID), logic.Const(ok)))
 		}
 	}
 
@@ -847,7 +861,7 @@ func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
 
 	// D_Z / S_Z: measurement Z delivered (securely, for secured
 	// properties) by at least one transmitting IED.
-	delivered := make([]*logic.Formula, a.cfg.Msrs.Len()+1)
+	delivered = make([]*logic.Formula, a.cfg.Msrs.Len()+1)
 	for z := 1; z <= a.cfg.Msrs.Len(); z++ {
 		var alts []*logic.Formula
 		for _, ied := range a.senders[z] {
@@ -855,7 +869,7 @@ func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
 		}
 		delivered[z] = logic.Or(alts...) // False when unassigned
 	}
-	return enc, delivered
+	return asserted, delivered
 }
 
 // deliveryFormula builds AssuredDelivery_I (or SecuredDelivery_I): the

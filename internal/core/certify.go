@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"scadaver/internal/logic"
@@ -25,9 +24,11 @@ import (
 //     queries on a cached snapshot).
 //   - A Sat answer is audited twice: the reported threat vector must
 //     violate the property under the direct evaluator within its
-//     failure budget, and the solver's full named model must satisfy a
-//     pristine re-encode of the query (fresh encoder, no preprocessing,
-//     no cache) solved under the model as unit assumptions.
+//     failure budget, and the solver's full named model must satisfy
+//     the query's formulas — structure assertions, failure budget and
+//     negated property, built afresh and never simplified — under
+//     strict evaluation, which refuses a model missing any of their
+//     variables.
 //   - Any divergence quarantines the query: one pristine re-solve with
 //     preprocessing and cache both disabled, itself
 //     proof-checked, whose verdict replaces the suspect one.
@@ -186,7 +187,7 @@ func (a *Analyzer) certifyResult(q Query, enc *logic.Encoder, cert *certState, a
 	var err error
 	switch res.Status {
 	case sat.Sat:
-		err = a.auditSat(q, enc, res)
+		err = a.auditSat(q, enc.Model(), res)
 	case sat.Unsat:
 		err = auditUnsat(cert.checker, assumptions)
 	}
@@ -202,9 +203,9 @@ func (a *Analyzer) certifyResult(q Query, enc *logic.Encoder, cert *certState, a
 // reported (minimized) threat vector must fit the failure budget and
 // violate the property under the direct evaluator, and the solver's
 // full named model — including values the preprocessor's variable
-// elimination reconstructed — must satisfy a pristine re-encode of the
-// query solved under that model as unit assumptions.
-func (a *Analyzer) auditSat(q Query, enc *logic.Encoder, res *Result) error {
+// elimination reconstructed — must satisfy the query's formulas
+// (auditModel).
+func (a *Analyzer) auditSat(q Query, model logic.Model, res *Result) error {
 	if res.Vector == nil {
 		return fmt.Errorf("core: certify: sat verdict carries no threat vector")
 	}
@@ -232,23 +233,37 @@ func (a *Analyzer) auditSat(q Query, enc *logic.Encoder, res *Result) error {
 	if !a.violatedUnder(q, f) {
 		return fmt.Errorf("core: certify: vector %v does not violate %v under the direct evaluator", v, q)
 	}
-	model := enc.Model()
-	names := make([]string, 0, len(model))
-	for name := range model {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	assumptions := make([]*logic.Formula, 0, len(names))
-	for _, name := range names {
-		t := logic.V(name)
-		if !model[name] {
-			t = logic.Not(t)
+	return a.auditModel(q, model)
+}
+
+// auditModel checks that model satisfies the query as formulas, freshly
+// built and never simplified: every structure assertion, the failure
+// budget and the negated property must evaluate to true, and every
+// variable they mention must be assigned. It trusts neither the
+// encoder, the solver, preprocessing nor the cache. Once the named
+// variables are fixed, every Tseitin gate and counter cell of the
+// query's CNF is determined, so this holds exactly when that CNF is
+// satisfiable under the model as unit assumptions.
+func (a *Analyzer) auditModel(q Query, model logic.Model) error {
+	asserted, delivered := a.structureFormulas(q)
+	n := len(asserted)
+	checks := append(asserted, a.budgetFormula(q), a.violationFormula(q, delivered))
+	for i, f := range checks {
+		ok, err := model.Satisfies(f)
+		if err != nil {
+			return fmt.Errorf("core: certify: solver model: %w", err)
 		}
-		assumptions = append(assumptions, t)
-	}
-	penc := a.encode(q)
-	if st := penc.Solve(assumptions...); st != sat.Sat {
-		return fmt.Errorf("core: certify: pristine re-encode is %v under the solver model", st)
+		if ok {
+			continue
+		}
+		what := "structure assertion " + f.String()
+		switch i {
+		case n:
+			what = "the failure budget"
+		case n + 1:
+			what = "the negated property"
+		}
+		return fmt.Errorf("core: certify: solver model falsifies %s", what)
 	}
 	return nil
 }
@@ -301,7 +316,7 @@ func (a *Analyzer) quarantine(q Query, res *Result, cause error) {
 		v := a.extractVector(q, enc)
 		v = a.minimizeVector(q, v)
 		res.Vector = &v
-		verr = a.auditSat(q, enc, res)
+		verr = a.auditSat(q, enc.Model(), res)
 	case sat.Unsat:
 		res.Status = sat.Unsat
 		res.Vector = nil

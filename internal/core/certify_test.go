@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"scadaver/internal/faultinject"
+	"scadaver/internal/logic"
 	"scadaver/internal/obs"
 	"scadaver/internal/powergrid"
 	"scadaver/internal/sat"
@@ -338,6 +341,71 @@ func testCertifyCorruptedModel(t *testing.T, cached bool) {
 	}
 	if !cert.violatedUnder(satQ, f) {
 		t.Fatalf("quarantined vector %v does not violate %v", res.Vector, satQ)
+	}
+}
+
+// TestAuditSatRejectsBadModel drives the model half of the Sat audit
+// directly, on the Sat query of testCertifyCorruptedModel, uncached and
+// on the shared snapshot. The solver's model passes unchanged; a model
+// that flips a pairing term against its configured value, flips a link
+// the query fixes up (KL = 0), or lacks a device's availability term
+// must be refused with a cause naming that variable.
+func TestAuditSatRejectsBadModel(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
+		_, satQ := boundaryQueries(t, cfg, Observability, 0)
+		opts, _ := certOptions(cached)
+		a, err := NewAnalyzer(cfg, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, res, err := a.SatEncoder(satQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc == nil {
+			t.Fatalf("cached=%v: %v is not sat", cached, satQ)
+		}
+		model := enc.Model()
+		if err := a.auditSat(satQ, model, res); err != nil {
+			t.Fatalf("cached=%v: solver model refused: %v", cached, err)
+		}
+
+		var pair, link string
+		for _, l := range cfg.Net.Links() {
+			if pair == "" {
+				pair = fmt.Sprintf("Pair_%d", l.ID)
+			}
+			if link == "" && !l.Down {
+				link = fmt.Sprintf("Link_%d", l.ID)
+			}
+		}
+		node := fmt.Sprintf("Node_%d", a.fieldIEDs[0].ID)
+		edits := []struct {
+			name string
+			edit func(logic.Model)
+		}{
+			{pair, func(m logic.Model) { m[pair] = !m[pair] }},
+			{link, func(m logic.Model) { m[link] = !m[link] }},
+			{node, func(m logic.Model) { delete(m, node) }},
+		}
+		for _, e := range edits {
+			m := make(logic.Model, len(model))
+			for k, v := range model {
+				m[k] = v
+			}
+			if _, ok := m[e.name]; !ok {
+				t.Fatalf("cached=%v: %s not in the solver model", cached, e.name)
+			}
+			e.edit(m)
+			err := a.auditSat(satQ, m, res)
+			if err == nil {
+				t.Fatalf("cached=%v: model with %s edited passed the audit", cached, e.name)
+			}
+			if !regexp.MustCompile(`\b` + e.name + `\b`).MatchString(err.Error()) {
+				t.Fatalf("cached=%v: edit of %s refused with a cause not naming it: %v", cached, e.name, err)
+			}
+		}
 	}
 }
 

@@ -56,3 +56,47 @@ func (a *Analyzer) RecordPrelude(q Query, w sat.ProofWriter) {
 	}
 	enc.Solver().SetProofHook(nil)
 }
+
+// SatEncoder solves q on the encoder Verify would use — a clone of the
+// shared snapshot under the budget as an assumption when the analyzer
+// serves snapshots, else a fresh encoding, presimplified when
+// configured — and returns it with a Result carrying the minimized
+// threat vector, as the Sat audit receives them. Both are nil when q is
+// not Sat.
+func (a *Analyzer) SatEncoder(q Query) (*logic.Encoder, *Result, error) {
+	var enc *logic.Encoder
+	var assumptions []*logic.Formula
+	if a.usesSnapshots() {
+		var err error
+		if enc, _, _, err = a.snapshot(q, a.certify, nil, nil); err != nil {
+			return nil, nil, err
+		}
+		assumptions = append(assumptions, a.budgetFormula(q))
+	} else {
+		enc = a.encode(q)
+		if a.presimplify {
+			enc.Simplify()
+		}
+	}
+	if enc.Solve(assumptions...) != sat.Sat {
+		return nil, nil, nil
+	}
+	v := a.minimizeVector(q, a.extractVector(q, enc))
+	return enc, &Result{Query: q, Status: sat.Sat, Vector: &v}, nil
+}
+
+// AuditSat runs the Sat audit of a verdict reached on enc.
+func (a *Analyzer) AuditSat(q Query, enc *logic.Encoder, res *Result) error {
+	return a.auditSat(q, enc.Model(), res)
+}
+
+// AuditModel runs the model half of the Sat audit: model must satisfy
+// the query's formulas.
+func (a *Analyzer) AuditModel(q Query, model logic.Model) error { return a.auditModel(q, model) }
+
+// PristineEncoding returns a fresh encoding of q — no preprocessing, no
+// cache, never solved — for pristineAudit.
+func (a *Analyzer) PristineEncoding(q Query) *logic.Encoder { return a.encode(q) }
+
+// DeltaQueries is the query shape list of the delta-cache tests.
+func DeltaQueries() []Query { return deltaQueries() }

@@ -225,3 +225,30 @@ func BenchmarkCheckerCloneIEEE57(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAuditSatIEEE57 times the Sat audit of one certified verdict:
+// each iteration audits the IEEE-57 (seed 57007) observability query at
+// the smallest violated budget, solved on a clone of the certified,
+// presimplified snapshot, as the certified k-sweep audits every Sat
+// verdict.
+func BenchmarkAuditSatIEEE57(b *testing.B) {
+	a, q := certifiedIEEE57(b)
+	for ; q.K <= 32; q.K++ {
+		enc, res, err := a.SatEncoder(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if enc == nil {
+			continue
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.AuditSat(q, enc, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return
+	}
+	b.Fatal("no violated budget up to K=32")
+}

@@ -217,6 +217,59 @@ func (f *Formula) Eval(assignment map[string]bool) bool {
 	return false
 }
 
+// Satisfies evaluates f strictly under m. Unlike Eval, a variable of f
+// that m leaves unassigned is an error naming it, not false. The walk
+// visits every node of f exactly once: shared subformulas are evaluated
+// once, and no connective short-circuits, so every variable of f is
+// checked against m whatever the outcome.
+func (m Model) Satisfies(f *Formula) (bool, error) {
+	memo := make(map[*Formula]bool)
+	var eval func(g *Formula) (bool, error)
+	eval = func(g *Formula) (bool, error) {
+		switch g.kind {
+		case kindConst:
+			return g.b, nil
+		case kindVar:
+			v, ok := m[g.name]
+			if !ok {
+				return false, fmt.Errorf("logic: variable %s is not in the model", g.name)
+			}
+			return v, nil
+		}
+		if v, ok := memo[g]; ok {
+			return v, nil
+		}
+		n := 0
+		for _, k := range g.kids {
+			v, err := eval(k)
+			if err != nil {
+				return false, err
+			}
+			if v {
+				n++
+			}
+		}
+		var v bool
+		switch g.kind {
+		case kindNot:
+			v = n == 0
+		case kindAnd:
+			v = n == len(g.kids)
+		case kindOr:
+			v = n > 0
+		case kindAtMost:
+			v = n <= g.k
+		case kindAtLeast:
+			v = n >= g.k
+		default:
+			panic("logic: unknown formula kind")
+		}
+		memo[g] = v
+		return v, nil
+	}
+	return eval(f)
+}
+
 // String renders the formula in a Lisp-like prefix form.
 func (f *Formula) String() string {
 	var sb strings.Builder
