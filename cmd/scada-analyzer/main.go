@@ -326,13 +326,15 @@ func run(args []string, out io.Writer) (retErr error) {
 }
 
 // phasesLine renders a result's -stats phase breakdown. A certified
-// result adds the certification audit time and the size of the checked
-// derivation (Result.Audit, Result.ProofClauses), which lie outside the
-// phases.
+// result adds the certification audit time, the size of the logged
+// derivation and the number of proof steps replayed into the checker to
+// certify it (Result.Audit, Result.ProofClauses, Result.ProofReplayed),
+// which lie outside the phases.
 func phasesLine(res *core.Result) string {
 	s := res.Phases.String()
 	if res.Certified {
-		s += fmt.Sprintf(" audit=%.2fms proof=%d", float64(res.Audit.Microseconds())/1000, res.ProofClauses)
+		s += fmt.Sprintf(" audit=%.2fms proof=%d replayed=%d",
+			float64(res.Audit.Microseconds())/1000, res.ProofClauses, res.ProofReplayed)
 	}
 	return s
 }

@@ -221,8 +221,10 @@ func TestRunObservabilityOutputs(t *testing.T) {
 }
 
 // TestRunCertifyStatsPhases: on certified results the -stats phases line
-// also reports the audit time and the checked proof size, for a single
-// verification and for every line of a sweep.
+// also reports the audit time, the logged proof size and the proof steps
+// replayed to certify the verdict, for a single verification and for
+// every line of a sweep. A violated (Sat) verdict rests on no proof and
+// must replay none.
 func TestRunCertifyStatsPhases(t *testing.T) {
 	for _, args := range [][]string{
 		{"-config", configPath, "-certify", "-stats"},
@@ -233,13 +235,21 @@ func TestRunCertifyStatsPhases(t *testing.T) {
 			t.Fatal(err)
 		}
 		phases := 0
+		verdict := ""
 		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.Contains(line, "-resilient ") {
+				verdict = line
+			}
 			if !strings.Contains(line, "phases:") {
 				continue
 			}
 			phases++
-			if !strings.Contains(line, " audit=") || !strings.Contains(line, "ms proof=") {
-				t.Fatalf("%v: phases line lacks audit/proof: %q", args, line)
+			if !strings.Contains(line, " audit=") || !strings.Contains(line, "ms proof=") ||
+				!strings.Contains(line, " replayed=") {
+				t.Fatalf("%v: phases line lacks audit/proof/replayed: %q", args, line)
+			}
+			if strings.Contains(verdict, "VIOLATED") && !strings.HasSuffix(line, " replayed=0") {
+				t.Fatalf("%v: violated verdict %q replayed proof steps: %q", args, verdict, line)
 			}
 		}
 		if phases == 0 {

@@ -218,22 +218,26 @@ type Result struct {
 	// Certification attestation (WithCertification; see certify.go).
 	// Certified reports the verdict was independently checked: a Sat
 	// witness re-validated by the direct evaluator and its model by
-	// strict evaluation of the query's formulas, an Unsat answer
-	// replayed through the DRAT proof checker. Quarantined is set when
-	// the first audit diverged and the pristine quarantine re-solve
-	// produced the reported verdict; CertifyError then records the
-	// divergence (and the quarantine's own failure, if any).
-	// ProofClauses counts derived clause
-	// additions the checker accepted on this query's solver (cumulative
-	// across a Sweep's shared solver; on a cached snapshot it includes
-	// the snapshot's prelude, so it is the size of the whole checked
-	// derivation); Audit is the certification overhead, outside the
-	// solve phase.
-	Certified    bool          `json:"certified,omitempty"`
-	Quarantined  bool          `json:"quarantined,omitempty"`
-	CertifyError string        `json:"certifyError,omitempty"`
-	ProofClauses uint64        `json:"proofClauses,omitempty"`
-	Audit        time.Duration `json:"auditNanos,omitempty"`
+	// strict evaluation of the query's formulas, an Unsat answer's
+	// logged proof replayed through the DRAT proof checker. Quarantined
+	// is set when the first audit diverged and the pristine quarantine
+	// re-solve produced the reported verdict; CertifyError then records
+	// the divergence (and the quarantine's own failure, if any).
+	// ProofClauses counts the derived clause additions logged on this
+	// query's solver (cumulative across a Sweep's shared solver; on a
+	// cached snapshot it includes the additions of the snapshot's
+	// checked prelude, so it is the size of the whole derivation).
+	// ProofReplayed counts the logged proof steps replayed into the
+	// checker to certify this verdict: zero for Sat and Unsolved
+	// verdicts, which do not rest on the proof, and for an Unsat one the
+	// steps logged since the previous check. Audit is the certification
+	// overhead, replay included, outside the solve phase.
+	Certified     bool          `json:"certified,omitempty"`
+	Quarantined   bool          `json:"quarantined,omitempty"`
+	CertifyError  string        `json:"certifyError,omitempty"`
+	ProofClauses  uint64        `json:"proofClauses,omitempty"`
+	ProofReplayed uint64        `json:"proofReplayed,omitempty"`
+	Audit         time.Duration `json:"auditNanos,omitempty"`
 }
 
 // Resilient reports whether the system satisfies the queried resiliency
@@ -459,8 +463,15 @@ func validateQuery(q Query) error {
 // as child spans of the query span. A cancelled solve (interrupt hook)
 // still closes every span on the normal return path.
 func (a *Analyzer) Verify(q Query) (*Result, error) {
+	res, _, err := a.verify(q)
+	return res, err
+}
+
+// verify is Verify, also returning the query's certification context
+// (nil when certification is off).
+func (a *Analyzer) verify(q Query) (*Result, *certState, error) {
 	if err := validateQuery(q); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	qspan := a.startQuerySpan(q)
@@ -497,7 +508,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 		if err != nil {
 			sp.End()
 			a.completeQuery(qs, qspan, "error", err.Error())
-			return nil, err
+			return nil, nil, err
 		}
 		cached = true
 		if a.certify {
@@ -632,7 +643,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 			}
 		}
 		a.certifyResult(q, enc, cert, alits, res)
-		sp.Annotate(obs.A("certified", res.Certified))
+		sp.Annotate(obs.A("certified", res.Certified), obs.A("replayed", res.ProofReplayed))
 		sp.End()
 	}
 	res.Phases = ph
@@ -640,7 +651,7 @@ func (a *Analyzer) Verify(q Query) (*Result, error) {
 	qspan.Annotate(obs.A("status", res.Status.String()))
 	a.recordMetrics(res)
 	a.completeQuery(qs, qspan, res.Status.String(), res.FailureReason)
-	return res, nil
+	return res, cert, nil
 }
 
 // budgetLabel renders the failure budget for span attributes and metric

@@ -14,14 +14,17 @@ import (
 // analyzer carry its own evidence instead of being trusted on the
 // solver's word (DESIGN.md §15):
 //
-//   - The solve is proof-logged from the encoder's birth: a DRAT-style
-//     checker (internal/sat/drat) replays every input clause and every
-//     derived addition — CDCL learning, preprocessing resolvents,
-//     strengthenings and failed literals included — as the solver emits
-//     them, so an Unsat answer is accepted only if the checker can
-//     certify the refutation (the empty clause for asserted budgets,
+//   - The solve is proof-logged from the encoder's birth: every input
+//     clause and every derived addition — CDCL learning, preprocessing
+//     resolvents, strengthenings and failed literals included — is
+//     recorded, as the solver emits it, into a pointer-free log
+//     (drat.Log). Nothing is checked at solve time. An Unsat answer
+//     rests on the proof, so it replays the log into a DRAT-style
+//     checker (internal/sat/drat) and is accepted only if the checker
+//     certifies the refutation (the empty clause for asserted budgets,
 //     RUP-ness of the negated budget assumption for Sweep and for
-//     queries on a cached snapshot).
+//     queries on a cached snapshot). Sat and Unsolved answers replay
+//     nothing.
 //   - A Sat answer is audited twice: the reported threat vector must
 //     violate the property under the direct evaluator within its
 //     failure budget, and the solver's full named model must satisfy
@@ -30,40 +33,75 @@ import (
 //     strict evaluation, which refuses a model missing any of their
 //     variables.
 //   - Any divergence quarantines the query: one pristine re-solve with
-//     preprocessing and cache both disabled, itself
-//     proof-checked, whose verdict replaces the suspect one.
+//     preprocessing and cache both disabled, itself certified the same
+//     way, whose verdict replaces the suspect one.
 //
 // With a plain encoding cache (WithEncodingCache), certification shares
 // the snapshot: the snapshot is built under proof logging, and its
 // derivation — structure, negated property and Simplify — is checked
-// once, when it is built. Each query clones the snapshot together with
-// its checker and checks only its own suffix: the budget's clauses, the
-// search, and RUP-ness of the negated budget assumption. Certified
+// once, eagerly, when it is built. Each query clones the snapshot and
+// logs only its own suffix: the budget's clauses and the search. An
+// Unsat query clones the snapshot's checker and checks that suffix and
+// RUP-ness of the negated budget assumption on the clone. Certified
 // snapshots are keyed apart from uncertified ones. A snapshot whose
 // checker rejected a step or accepted a RAT addition is not shared, and
 // its queries — like those of analyzers without a cache or on a
 // delta-aware cache (CacheWithDelta) — are proof-logged from clause one
-// of a fresh encoding. Preprocessing stays on either way: it is
+// of a fresh encoding, and an Unsat one replays the whole log into an
+// empty checker. Preprocessing stays on either way: it is
 // proof-logged, which is the point.
 // Threat enumeration (EnumerateThreats) is not certified — its blocking
 // clauses change the formula mid-stream; certify the individual
 // verdicts via Verify instead. Overhead is measured in EXPERIMENTS.md
-// §R3.
+// §R3 and §P8.
 func WithCertification(on bool) Option {
 	return func(a *Analyzer) { a.certify = on }
 }
 
-// certState is the certification context of one proof-logged solve: the
-// in-process DRAT checker receiving the solver's proof stream.
+// certState is the certification context of one proof-logged solve, or
+// of a Sweep's shared solver across its budgets. The solver's proof
+// stream is recorded into log as the solver emits it and checked only
+// when a verdict rests on it: a Sat verdict is certified by its model
+// and an Unsolved one claims nothing, so only an Unsat verdict replays
+// the log (check). The first Unsat creates the checker — a fork of the
+// snapshot's prelude taken at that moment, or an empty checker on the
+// fresh path — and every Unsat drains the pending steps into it. Steps
+// logged during a Sweep's Sat budgets stay pending until the next Unsat
+// catches the checker up, so every step is still checked, in order.
 type certState struct {
-	checker *drat.Checker
+	prelude *drat.Checker // the snapshot's checked prelude (read-only); nil on the fresh path
+	checker *drat.Checker // nil until an Unsat verdict needs it
+	log     drat.Log
+}
+
+// check catches the checker up with the logged proof, creating it on
+// first use, and returns it with the number of steps replayed.
+func (c *certState) check() (*drat.Checker, int) {
+	if c.checker == nil {
+		if c.prelude != nil {
+			c.checker = c.prelude.Clone()
+		} else {
+			c.checker = drat.New()
+		}
+	}
+	return c.checker, c.log.Drain(c.checker)
+}
+
+// proofClauses is the size of the recorded derivation: the prelude's
+// additions plus every addition logged since.
+func (c *certState) proofClauses() uint64 {
+	n := c.log.Additions()
+	if c.prelude != nil {
+		n += c.prelude.Additions()
+	}
+	return uint64(n)
 }
 
 // newEncoder builds the encoder for a structural encoding, arming the
 // pending proof sink — if certification installed one — on the fresh
 // solver before any clause is asserted. logic.Encoder encodes eagerly
 // (Assert adds clauses to the solver immediately), so the hook must be
-// in place at encoder birth or the checker would miss input clauses.
+// in place at encoder birth or the proof would miss input clauses.
 func (a *Analyzer) newEncoder() *logic.Encoder {
 	enc := logic.NewEncoder()
 	if a.proofSink != nil {
@@ -72,52 +110,52 @@ func (a *Analyzer) newEncoder() *logic.Encoder {
 	return enc
 }
 
-// beginCertify starts a fresh certified solve: it creates the proof
-// checker and installs it as the analyzer's pending proof sink, to be
-// picked up by the next newEncoder call. Returns nil when certification
-// is off.
+// beginCertify starts a fresh certified solve: it creates the proof log
+// and installs it as the analyzer's pending proof sink, to be picked up
+// by the next newEncoder call. Returns nil when certification is off.
 func (a *Analyzer) beginCertify() *certState {
 	if !a.certify {
 		return nil
 	}
-	c := &certState{checker: drat.New()}
-	a.proofSink = a.proofWriter(c.checker)
+	c := &certState{}
+	a.proofSink = a.proofWriter(&c.log)
 	return c
 }
 
 // forkCertify starts a certified solve on enc, a private clone of the
-// cached snapshot e: the snapshot's prelude checker, which checked the
-// derivation from the first clause through Simplify once when the
-// snapshot was built, is cloned and armed on the clone's solver, so this
-// query checks only its own suffix — the budget's clauses, the search,
-// and the refutation of the budget assumption. Refuting the prelude's
-// database under the budget refutes the query, because every prelude
-// step was RUP or a deletion and so the database is implied by the
-// snapshot's input formula. Returns nil when the snapshot shares no
-// prelude (its checker rejected a step or accepted a RAT addition); the
-// caller then takes the fresh certified path.
+// cached snapshot e: the snapshot's prelude checker checked the
+// derivation from the first clause through Simplify once, when the
+// snapshot was built, so this query logs only its own suffix — the
+// budget's clauses, the search, and the refutation of the budget
+// assumption — and an Unsat verdict checks that suffix on a clone of the
+// prelude. Refuting the prelude's database under the budget refutes the
+// query, because every prelude step was RUP or a deletion and so the
+// database is implied by the snapshot's input formula. Returns nil when
+// the snapshot shares no prelude (its checker rejected a step or
+// accepted a RAT addition); the caller then takes the fresh certified
+// path.
 func (a *Analyzer) forkCertify(e *encodingEntry, enc *logic.Encoder) *certState {
 	if e.prelude == nil {
 		return nil
 	}
-	c := &certState{checker: e.prelude.Clone()}
-	enc.Solver().SetProofHook(a.proofWriter(c.checker))
+	c := &certState{prelude: e.prelude}
+	enc.Solver().SetProofHook(a.proofWriter(&c.log))
 	return c
 }
 
-// proofWriter wraps a certification checker in the fault plan's
+// proofWriter wraps a certification proof log in the fault plan's
 // proof-truncation hook, when one is armed, so chaos tests can corrupt
-// the stream between solver and checker.
-func (a *Analyzer) proofWriter(ck *drat.Checker) sat.ProofWriter {
+// the stream between solver and log at solve time.
+func (a *Analyzer) proofWriter(log *drat.Log) sat.ProofWriter {
 	if drop := a.faults.ProofDropHook(); drop != nil {
-		return proofDropper{drop: drop, next: ck}
+		return proofDropper{drop: drop, next: log}
 	}
-	return ck
+	return log
 }
 
 // proofDropper interposes the fault plan's proof-truncation predicate
-// in front of the certification checker: once it fires, derived clause
-// additions stop reaching the checker (inputs and deletions still
+// in front of the certification proof log: once it fires, derived
+// clause additions stop reaching the log (inputs and deletions still
 // flow), modeling a proof writer that silently lost derivation steps.
 type proofDropper struct {
 	drop func() bool
@@ -168,17 +206,19 @@ func (a *Analyzer) corruptVector(v *ThreatVector) {
 	}
 }
 
-// certifyResult audits one decided verdict against its proof stream and
-// the direct evaluator, quarantining on divergence. assumptions are the
-// solver literals the solve assumed (the budget counter for Sweep;
-// empty when the budget was asserted): an Unsat-under-assumptions
-// answer is certified by RUP-ness of the negated assumption clause
-// rather than by the empty clause. Undecided verdicts are not audited —
-// there is no claim to certify.
+// certifyResult audits one decided verdict, quarantining on divergence:
+// a Sat verdict against the direct evaluator and the query's formulas,
+// an Unsat one against its proof, replayed from the log into the
+// checker only now (res.ProofReplayed counts the steps). assumptions are
+// the solver literals the solve assumed (the budget counter for Sweep
+// and snapshots; empty when the budget was asserted): an
+// Unsat-under-assumptions answer is certified by RUP-ness of the negated
+// assumption clause rather than by the empty clause. Undecided verdicts
+// are not audited — there is no claim to certify.
 func (a *Analyzer) certifyResult(q Query, enc *logic.Encoder, cert *certState, assumptions []sat.Lit, res *Result) {
 	t0 := time.Now()
 	defer func() { res.Audit = time.Since(t0) }()
-	res.ProofClauses = uint64(cert.checker.Additions())
+	res.ProofClauses = cert.proofClauses()
 	if res.Status == sat.Unsolved {
 		return
 	}
@@ -189,7 +229,9 @@ func (a *Analyzer) certifyResult(q Query, enc *logic.Encoder, cert *certState, a
 	case sat.Sat:
 		err = a.auditSat(q, enc.Model(), res)
 	case sat.Unsat:
-		err = auditUnsat(cert.checker, assumptions)
+		ck, n := cert.check()
+		res.ProofReplayed += uint64(n)
+		err = auditUnsat(ck, assumptions)
 	}
 	if err == nil {
 		res.Certified = true
@@ -286,8 +328,8 @@ func auditUnsat(ck *drat.Checker, assumptions []sat.Lit) error {
 
 // quarantine handles a certification divergence: the suspect verdict is
 // discarded and the query re-solved from a pristine encoding —
-// preprocessing and cache both off, itself
-// proof-checked — whose verdict replaces the reported one. The
+// preprocessing and cache both off, itself certified like any other
+// solve — whose verdict replaces the reported one. The
 // re-solve is bounded by the analyzer's conflict budget and interrupt
 // only; fault-injection hooks are deliberately not re-armed, so an
 // injected corruption cannot survive its own quarantine.
@@ -297,8 +339,8 @@ func (a *Analyzer) quarantine(q Query, res *Result, cause error) {
 	res.Quarantined = true
 	res.CertifyError = cause.Error()
 
-	ck := drat.New()
-	a.proofSink = ck
+	cert := &certState{}
+	a.proofSink = &cert.log
 	enc := a.encode(q)
 	a.proofSink = nil
 	s := enc.Solver()
@@ -320,6 +362,8 @@ func (a *Analyzer) quarantine(q Query, res *Result, cause error) {
 	case sat.Unsat:
 		res.Status = sat.Unsat
 		res.Vector = nil
+		ck, n := cert.check()
+		res.ProofReplayed += uint64(n)
 		verr = auditUnsat(ck, nil)
 	default:
 		verr = fmt.Errorf("core: certify: quarantine re-solve undecided")
@@ -327,7 +371,7 @@ func (a *Analyzer) quarantine(q Query, res *Result, cause error) {
 	if st != sat.Unsolved && st != orig {
 		a.metrics.Inc("scadaver_certify_divergence_total", pl)
 	}
-	res.ProofClauses = uint64(ck.Additions())
+	res.ProofClauses = cert.proofClauses()
 	res.Certified = verr == nil
 	if verr != nil {
 		res.CertifyError = fmt.Sprintf("%v; quarantine: %v", cause, verr)

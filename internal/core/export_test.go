@@ -100,3 +100,139 @@ func (a *Analyzer) PristineEncoding(q Query) *logic.Encoder { return a.encode(q)
 
 // DeltaQueries is the query shape list of the delta-cache tests.
 func DeltaQueries() []Query { return deltaQueries() }
+
+// VerifyChecked runs Verify and also returns the checker its verdict was
+// certified against: nil unless certification replayed the proof into
+// one, which only an Unsat verdict does.
+func (a *Analyzer) VerifyChecked(q Query) (*Result, *drat.Checker, error) {
+	res, cert, err := a.verify(q)
+	if cert == nil {
+		return res, nil, err
+	}
+	return res, cert.checker, err
+}
+
+// Checker returns a certified sweep's checker: nil until an Unsat budget
+// replayed the proof into one.
+func (s *Sweep) Checker() *drat.Checker {
+	if s.cert == nil {
+		return nil
+	}
+	return s.cert.checker
+}
+
+// OnlineSweep is the reference the replayed certification is held to:
+// certification as it was before proofs were logged, with a checker
+// armed as the solver's proof hook and so fed every step at solve time,
+// Sat searches included. NewOnlineSweep encodes as NewSweep does and
+// Verify solves a budget on that encoding as Sweep.VerifyK and
+// Sweep.VerifySplit do, so on an analyzer without faults the search, the
+// proof stream and the verdicts are those of the replayed path.
+type OnlineSweep struct {
+	a   *Analyzer
+	enc *logic.Encoder
+	ck  *drat.Checker
+}
+
+// NewOnlineSweep is NewSweep with an online checker: a clone of the
+// certified snapshot's prelude armed on the snapshot's clone, or, when
+// the snapshot shares none or the analyzer serves no snapshots, an empty
+// checker armed from the first clause of a fresh encoding.
+func (a *Analyzer) NewOnlineSweep(p Property, r, kl int) (*OnlineSweep, error) {
+	probe := Query{Property: p, Combined: true, R: r, KL: kl}
+	if s, err := a.onlineFork(probe); s != nil || err != nil {
+		return s, err
+	}
+	ck := drat.New()
+	a.proofSink = ck
+	enc, delivered := a.encodeStructure(probe)
+	a.proofSink = nil
+	enc.Assert(a.violationFormula(probe, delivered))
+	if a.presimplify {
+		enc.Simplify()
+	}
+	return &OnlineSweep{a: a, enc: enc, ck: ck}, nil
+}
+
+// onlineFork arms a clone of q's certified snapshot with a clone of its
+// prelude checker, as Verify's cached path forks them; nil when the
+// analyzer serves no snapshots or the snapshot shares no prelude.
+func (a *Analyzer) onlineFork(q Query) (*OnlineSweep, error) {
+	if !a.usesSnapshots() {
+		return nil, nil
+	}
+	enc, _, e, err := a.snapshot(q, true, nil, nil)
+	if err != nil || e.prelude == nil {
+		return nil, err
+	}
+	ck := e.prelude.Clone()
+	enc.Solver().SetProofHook(ck)
+	return &OnlineSweep{a: a, enc: enc, ck: ck}, nil
+}
+
+// OnlineVerify is Verify certified against an online checker: the budget
+// assumed on a forked snapshot, as Verify's cached path solves it, or
+// asserted on a fresh proof-logged encoding, as its uncached path does.
+// It returns the result and the checker.
+func (a *Analyzer) OnlineVerify(q Query) (*Result, *drat.Checker, error) {
+	s, err := a.onlineFork(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s != nil {
+		res, ck := s.Verify(q)
+		return res, ck, nil
+	}
+	ck := drat.New()
+	a.proofSink = ck
+	enc := a.encode(q)
+	a.proofSink = nil
+	if a.presimplify {
+		enc.Simplify()
+	}
+	s = &OnlineSweep{a: a, enc: enc, ck: ck}
+	return s.solve(q, nil), ck, nil
+}
+
+// Verify solves q with its failure budget as an assumption and
+// certifies the verdict against the online checker, returning the
+// result and the checker.
+func (s *OnlineSweep) Verify(q Query) (*Result, *drat.Checker) {
+	return s.solve(q, s.a.budgetFormula(q)), s.ck
+}
+
+// solve solves the sweep's encoding under budget (nil: none to assume)
+// and certifies the verdict as certification did before proofs were
+// logged: ProofClauses is the online checker's addition count, a Sat
+// verdict is audited as Verify audits it, an Unsat one against the
+// checker as it stands, and a divergence is quarantined.
+func (s *OnlineSweep) solve(q Query, budget *logic.Formula) *Result {
+	a := s.a
+	var assumptions []*logic.Formula
+	if budget != nil {
+		assumptions = append(assumptions, budget)
+	}
+	out := a.solveBudgeted(q, s.enc, nil, assumptions...)
+	res := &Result{Query: q, Status: a.corruptStatus(out.status), ProofClauses: uint64(s.ck.Additions())}
+	var err error
+	switch res.Status {
+	case sat.Sat:
+		v := a.minimizeVector(q, a.extractVector(q, s.enc))
+		res.Vector = &v
+		err = a.auditSat(q, s.enc.Model(), res)
+	case sat.Unsat:
+		var alits []sat.Lit
+		for _, f := range assumptions {
+			alits = append(alits, s.enc.Lit(f))
+		}
+		err = auditUnsat(s.ck, alits)
+	default:
+		return res
+	}
+	if err != nil {
+		a.quarantine(q, res, err)
+	} else {
+		res.Certified = true
+	}
+	return res
+}

@@ -252,3 +252,44 @@ func BenchmarkAuditSatIEEE57(b *testing.B) {
 	}
 	b.Fatal("no violated budget up to K=32")
 }
+
+// BenchmarkCertifiedVerifyIEEE57 times one certified Verify on the warm
+// IEEE-57 (seed 57007) observability snapshot, certified prelude
+// included: sat at the smallest violated budget, whose audit evaluates
+// the model, and unsat at k = 0, whose audit checks the proof. The
+// snapshot is built before the clock starts, so an iteration is a clone,
+// a solve, decoding and the certification.
+func BenchmarkCertifiedVerifyIEEE57(b *testing.B) {
+	a, unsatQ := certifiedIEEE57(b)
+	satQ := unsatQ
+	for {
+		res, err := a.Verify(satQ)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status == sat.Sat {
+			break
+		}
+		if satQ.K++; satQ.K > 32 {
+			b.Fatal("no violated budget up to K=32")
+		}
+	}
+	for _, c := range []struct {
+		name string
+		q    core.Query
+		want sat.Status
+	}{{"sat", satQ, sat.Sat}, {"unsat", unsatQ, sat.Unsat}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := a.Verify(c.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Status != c.want || !res.Certified {
+					b.Fatalf("%v: %v certified=%v (%s), want %v certified", c.q, res.Status, res.Certified, res.CertifyError, c.want)
+				}
+			}
+		})
+	}
+}

@@ -33,10 +33,11 @@ type Sweep struct {
 	r    int
 	kl   int
 
-	// cert is the shared proof checker of a certified sweep (nil
-	// otherwise): one proof stream covers the whole sweep, and each
-	// per-k Unsat is certified via RUP-ness of its negated budget
-	// assumption (see certify.go).
+	// cert is the shared certification context of a certified sweep
+	// (nil otherwise): one proof log and one checker cover the whole
+	// sweep, each per-k Unsat catches the checker up with the steps
+	// logged since the previous one, and is certified via RUP-ness of
+	// its negated budget assumption (see certify.go).
 	cert *certState
 }
 
@@ -48,8 +49,8 @@ type Sweep struct {
 // encodes the structure itself, preprocessing it when presimplify is on.
 // Either way, per-k budgets stay assumptions on the sweep's private
 // encoder. A certified sweep on a snapshot forks the snapshot's prelude
-// checker, as Verify does, and encodes afresh when the snapshot shares
-// none.
+// checker, as Verify does — at its first Unsat budget — and encodes
+// afresh when the snapshot shares none.
 func (a *Analyzer) NewSweep(p Property, r, kl int) (*Sweep, error) {
 	probe := Query{Property: p, Combined: true, K: 0, R: r, KL: kl}
 	if err := validateQuery(probe); err != nil {
@@ -201,7 +202,7 @@ func (s *Sweep) verify(q Query) (*Result, error) {
 			alits = []sat.Lit{s.enc.Lit(budget)}
 		}
 		s.a.certifyResult(q, s.enc, s.cert, alits, res)
-		sp.Annotate(obs.A("certified", res.Certified))
+		sp.Annotate(obs.A("certified", res.Certified), obs.A("replayed", res.ProofReplayed))
 		sp.End()
 	}
 	res.Phases = ph

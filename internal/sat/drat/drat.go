@@ -30,9 +30,14 @@
 //
 // Clone forks a checker mid-stream. A shared solver snapshot keeps the
 // checker that watched it being built, and each query solving a clone of
-// that snapshot feeds its own steps to a clone of the checker, so the
-// snapshot's derivation is checked once rather than once per query. The
-// store being flat, a clone is a few copies and a watch-list rebuild.
+// that snapshot that needs its proof checked feeds its own steps to a
+// clone of the checker, so the snapshot's derivation is checked once
+// rather than once per query. The store being flat, a clone is a few
+// copies and a watch-list rebuild.
+//
+// Log (log.go) records a stream instead of checking it, so a solve pays
+// only to record its proof and the check is paid later, by Drain, and
+// only if a verdict rests on the proof.
 //
 // Dump (dump.go) is the escape hatch for external checkers: it buffers
 // the input formula as DIMACS and the derivation as DRAT text, the

@@ -509,31 +509,43 @@ func TestCheckerMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzCheckerReference compares the Checker with the reference on
-// fuzz-shaped streams: the first byte picks the variable count and the
-// clone cut, then each step is an op byte (input, addition or delete), a
-// width byte and that many literal bytes.
-func FuzzCheckerReference(f *testing.F) {
+// fuzzSteps decodes fuzz input into a proof stream: the first byte
+// picks the variable count (and, in the fuzz targets, the clone cut),
+// then each step is an op byte (input, addition or delete), a width byte
+// and that many literal bytes.
+func fuzzSteps(data []byte) []streamStep {
+	if len(data) < 2 {
+		return nil
+	}
+	nv := 2 + int(data[0])%6
+	var steps []streamStep
+	for i := 1; i+1 < len(data) && len(steps) < 200; {
+		op := sat.ProofOp(data[i] % 3)
+		w := int(data[i+1]) % 5
+		i += 2
+		var lits []sat.Lit
+		for ; w > 0 && i < len(data); w-- {
+			lits = append(lits, sat.Lit(int(data[i])%(2*nv)))
+			i++
+		}
+		steps = append(steps, streamStep{op: op, lits: lits})
+	}
+	return steps
+}
+
+// addFuzzSeeds adds the seed streams shared by the stream fuzz targets.
+func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 0, 2, 0, 1, 3, 1, 0, 2, 1, 2, 0, 5, 2, 2, 0, 2})
 	f.Add([]byte{5, 0, 1, 0, 0, 2, 1, 2, 1, 1, 1, 0, 2, 2, 2, 3, 2, 0, 1})
 	f.Add([]byte{8, 0, 3, 0, 2, 4, 0, 3, 1, 2, 5, 1, 2, 1, 3, 2, 3, 0, 2, 4, 1, 1, 8})
+}
+
+// FuzzCheckerReference compares the Checker with the reference on
+// fuzz-shaped streams (fuzzSteps), cloning at a cut the first byte picks.
+func FuzzCheckerReference(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
-		}
-		nv := 2 + int(data[0])%6
-		var steps []streamStep
-		for i := 1; i+1 < len(data) && len(steps) < 200; {
-			op := sat.ProofOp(data[i] % 3)
-			w := int(data[i+1]) % 5
-			i += 2
-			var lits []sat.Lit
-			for ; w > 0 && i < len(data); w-- {
-				lits = append(lits, sat.Lit(int(data[i])%(2*nv)))
-				i++
-			}
-			steps = append(steps, streamStep{op: op, lits: lits})
-		}
+		steps := fuzzSteps(data)
 		if len(steps) == 0 {
 			return
 		}
