@@ -21,7 +21,7 @@ import (
 // checkpoint fingerprint, so bump it whenever the emitted clauses change
 // meaning: stale snapshots and resumed enumerations are then rejected
 // instead of silently mixed with the new encoding.
-const EncodingVersion = 1
+const EncodingVersion = 2
 
 // WithPresimplify enables CNF preprocessing before search: after a
 // query's constraints are encoded, the solver runs unit propagation to

@@ -25,9 +25,11 @@
 //     every state must remain observable after removing any r delivered
 //     measurements, the paper's redundancy condition for detecting up
 //     to r corrupted measurements.
-//   - k / (k1,k2) resiliency — budgetFormula: a sequential-counter
-//     cardinality bound on failed devices, either one combined budget k
-//     or separate IED (k1) and RTU (k2) budgets.
+//   - k / (k1,k2) resiliency — budgetFormula: a cardinality bound on
+//     failed devices, either one combined budget k or separate IED (k1)
+//     and RTU (k2) budgets. Like every cardinality atom the analyzer
+//     asserts or assumes, it occurs only positively and is encoded by
+//     logic.Encoder.Implying as a one-sided sequential counter.
 //
 // # Pipeline
 //
@@ -44,7 +46,7 @@
 // Two engines accelerate campaigns over many queries:
 //
 //   - Sweep reuses one structural encoding across a failure-budget
-//     sweep, adding only the per-k cardinality counter and passing the
+//     sweep, adding only the per-k one-sided counter and passing the
 //     budget as an assumption, so learned clauses and saved phases
 //     carry over (the fast path behind MaxResiliency and
 //     MaxResiliencyCombined).

@@ -223,7 +223,7 @@ func (s *OnlineSweep) solve(q Query, budget *logic.Formula) *Result {
 	case sat.Unsat:
 		var alits []sat.Lit
 		for _, f := range assumptions {
-			alits = append(alits, s.enc.Lit(f))
+			alits = append(alits, s.enc.Implying(f))
 		}
 		err = auditUnsat(s.ck, alits)
 	default:

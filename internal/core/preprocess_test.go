@@ -46,10 +46,10 @@ func snapshotDigest(t *testing.T, s *sat.Solver) string {
 // TestSnapshotSimplifyGolden pins the simplified CNF of every snapshot
 // structure the k-sweep campaign uses (observability, secured
 // observability, bad-data detectability with r = 1) on one IEEE-14 and
-// one IEEE-57 configuration. The digests were recorded before the
-// bounded-variable-elimination kernel was rewritten for speed; a
-// preprocessing change that alters the emitted formula must fail here
-// and bump EncodingVersion.
+// one IEEE-57 configuration. The digests were recorded for
+// EncodingVersion 2 (one-sided counters for positive cardinality
+// atoms); an encoding or preprocessing change that alters the emitted
+// formula must fail here and bump EncodingVersion.
 func TestSnapshotSimplifyGolden(t *testing.T) {
 	cases := []struct {
 		bus  *powergrid.BusSystem
@@ -57,14 +57,14 @@ func TestSnapshotSimplifyGolden(t *testing.T) {
 		want map[string]string // encoding key suffix → digest
 	}{
 		{powergrid.IEEE14(), 14007, map[string]string{
-			"observability/r0":          "389b3a0eddf42c40",
-			"secured-observability/r0":  "3eb743ea75a8c21f",
-			"bad-data-detectability/r1": "e5ce414435a2e7df",
+			"observability/r0":          "b9c3e2f9591c4021",
+			"secured-observability/r0":  "5ea0afda97ffacee",
+			"bad-data-detectability/r1": "7875943c2e467e02",
 		}},
 		{powergrid.IEEE57(), 57007, map[string]string{
-			"observability/r0":          "1e21f134bf90af88",
-			"secured-observability/r0":  "89add4980aadd5ad",
-			"bad-data-detectability/r1": "b198c503cd49e3ba",
+			"observability/r0":          "c2494a80867ccec4",
+			"secured-observability/r0":  "d1990bacc4bc9583",
+			"bad-data-detectability/r1": "ecbb2e7f5b5a79c8",
 		}},
 	}
 	for _, tc := range cases {
@@ -292,4 +292,48 @@ func BenchmarkCertifiedVerifyIEEE57(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBoundaryUnsatIEEE118 times the query the paper's Fig. 5
+// boundary search spends its time on: the k = 2 observability Verify on
+// IEEE-118 (seed 118000), which holds, through a presimplified encoding
+// cache. The snapshot is built before the clock starts, so an iteration
+// is a clone, the failure budget's counter and the Unsat search. It
+// reports the solver's variables and clauses as the query sees them,
+// and its conflicts and propagations, per op: the encoder's share shows
+// in the first two, and the search it buys in the last two.
+func BenchmarkBoundaryUnsatIEEE118(b *testing.B) {
+	cfg, err := synth.Generate(synth.Params{Bus: powergrid.IEEE118(), Seed: 118000, Hierarchy: 2, SecureFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true), core.WithEncodingCache(core.NewEncodingCache()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := core.Query{Property: core.Observability, Combined: true, K: 2}
+	if _, err := a.SnapshotEncoder(q); err != nil {
+		b.Fatal(err)
+	}
+	var vars, clauses int
+	var conflicts, props uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := a.Verify(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status != sat.Unsat {
+			b.Fatalf("%v: %v, want unsat", q, res.Status)
+		}
+		vars += res.Stats.MaxVars
+		clauses += res.Stats.Clauses
+		conflicts += res.Stats.Conflicts
+		props += res.Stats.Propagations
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(vars)/n, "vars/op")
+	b.ReportMetric(float64(clauses)/n, "clauses/op")
+	b.ReportMetric(float64(conflicts)/n, "conflicts/op")
+	b.ReportMetric(float64(props)/n, "props/op")
 }

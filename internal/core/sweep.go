@@ -199,7 +199,7 @@ func (s *Sweep) verify(q Query) (*Result, error) {
 		// certified by RUP-ness of its negated budget-counter literal.
 		var alits []sat.Lit
 		if status == sat.Unsat {
-			alits = []sat.Lit{s.enc.Lit(budget)}
+			alits = []sat.Lit{s.enc.Implying(budget)}
 		}
 		s.a.certifyResult(q, s.enc, s.cert, alits, res)
 		sp.Annotate(obs.A("certified", res.Certified), obs.A("replayed", res.ProofReplayed))

@@ -6,16 +6,20 @@ import (
 	"scadaver/internal/sat"
 )
 
-// Encoder turns formulas into CNF over a sat.Solver via a polarity-blind
-// (biconditional) Tseitin transformation, with sequential-counter
-// encodings for cardinality atoms. It supports incremental use: Assert
-// adds constraints, Solve can be called repeatedly, and further Asserts
-// (e.g. blocking clauses during threat-space enumeration) refine the
-// instance.
+// Encoder turns formulas into CNF over a sat.Solver. Lit is an exact
+// (biconditional) Tseitin transformation with biconditional sequential
+// counters for cardinality atoms. Implying encodes a formula in a
+// positive context: cardinality atoms that occur only under And/Or get
+// Sinz's one-sided counter, which constrains the count from above only.
+// Assert, AssertGuarded and Solve's assumptions go through Implying. It
+// supports incremental use: Assert adds constraints, Solve can be called
+// repeatedly, and further Asserts (e.g. blocking clauses during
+// threat-space enumeration) refine the instance.
 type Encoder struct {
 	solver  *sat.Solver
 	vars    map[string]sat.Var
-	cache   map[*Formula]sat.Lit
+	cache   map[*Formula]sat.Lit // Lit's exact literals
+	implied map[*Formula]sat.Lit // Implying's one-sided literals
 	hasTrue bool
 	litTrue sat.Lit
 }
@@ -23,9 +27,10 @@ type Encoder struct {
 // NewEncoder returns an Encoder over a fresh solver.
 func NewEncoder() *Encoder {
 	return &Encoder{
-		solver: sat.New(),
-		vars:   make(map[string]sat.Var),
-		cache:  make(map[*Formula]sat.Lit),
+		solver:  sat.New(),
+		vars:    make(map[string]sat.Var),
+		cache:   make(map[*Formula]sat.Lit),
+		implied: make(map[*Formula]sat.Lit),
 	}
 }
 
@@ -38,7 +43,7 @@ func (e *Encoder) Solver() *sat.Solver { return e.solver }
 // constant-true literal are frozen first: callers keep referring to them
 // in later formulas, assumptions, Block clauses, and Model lookups, so
 // only anonymous Tseitin and counter auxiliaries are eliminable. The
-// formula-literal memo is dropped, since cached auxiliary literals may
+// formula-literal memos are dropped, since cached auxiliary literals may
 // no longer exist; formulas encoded afterwards get fresh auxiliaries.
 // Reports false when preprocessing refutes the instance.
 func (e *Encoder) Simplify() bool {
@@ -49,12 +54,13 @@ func (e *Encoder) Simplify() bool {
 		e.solver.Freeze(e.litTrue.Var())
 	}
 	e.cache = make(map[*Formula]sat.Lit)
+	e.implied = make(map[*Formula]sat.Lit)
 	return e.solver.Simplify()
 }
 
 // Clone returns an independent copy of the encoder and its solver
 // (variables, clauses, and any Simplify state carry over; see
-// sat.Solver.Clone). The formula-literal memo starts empty — formulas
+// sat.Solver.Clone). The formula-literal memos start empty — formulas
 // encoded into the clone emit their own auxiliaries — so clones of one
 // encoded structure can be extended and solved concurrently. This is
 // what the core encoding cache hands out per query.
@@ -67,6 +73,7 @@ func (e *Encoder) Clone() *Encoder {
 		solver:  e.solver.Clone(),
 		vars:    vars,
 		cache:   make(map[*Formula]sat.Lit),
+		implied: make(map[*Formula]sat.Lit),
 		hasTrue: e.hasTrue,
 		litTrue: e.litTrue,
 	}
@@ -192,7 +199,10 @@ func (e *Encoder) orLits(lits []sat.Lit) sat.Lit {
 // atLeastLit returns a literal equivalent to "at least k of lits are
 // true" using a biconditional sequential (unary) counter: s[j] after
 // step i holds iff at least j of the first i literals are true. Only the
-// first k counter cells are materialized.
+// first k counter cells are materialized. Each cell costs up to two
+// gates (an AND carry and an OR), so Lit pays this full price only where
+// the atom's truth value matters both ways: under Not, in an Iff, or
+// through a direct Lit call. Implying uses atMostImplying instead.
 func (e *Encoder) atLeastLit(lits []sat.Lit, k int) sat.Lit {
 	n := len(lits)
 	if k <= 0 {
@@ -235,6 +245,112 @@ func (e *Encoder) atLeastLit(lits []sat.Lit, k int) sat.Lit {
 	return prev[k-1]
 }
 
+// Implying encodes f in a positive context: it returns a literal p
+// such that p implies f in every model of the emitted clauses, and every
+// assignment of the named variables that satisfies f extends to a model
+// with p true. A cardinality atom gets Sinz's one-sided sequential
+// counter (atMostImplying) — one variable and at most three clauses per
+// cell, no gates — and an And/Or node above such an atom gets the usual
+// biconditional gate over its kids' Implying literals. Every other
+// formula, Not included, falls back to Lit, so a negated occurrence of
+// an atom still gets the exact counter. The one-sided literals have
+// their own memo: Lit never reads it, because the negation of a
+// one-sided literal does not imply the negated formula.
+func (e *Encoder) Implying(f *Formula) sat.Lit {
+	if !f.posCard {
+		return e.Lit(f)
+	}
+	if l, ok := e.cache[f]; ok {
+		return l // an exact literal implies f as well
+	}
+	if l, ok := e.implied[f]; ok {
+		return l
+	}
+	var out sat.Lit
+	switch f.kind {
+	case kindAnd:
+		out = e.andLits(e.impliedKidLits(f))
+	case kindOr:
+		out = e.orLits(e.impliedKidLits(f))
+	case kindAtMost:
+		out = e.atMostImplying(e.kidLits(f), f.k)
+	case kindAtLeast:
+		// At least k of n true is at most n−k of them false.
+		lits := e.kidLits(f)
+		for i, l := range lits {
+			lits[i] = l.Neg()
+		}
+		out = e.atMostImplying(lits, len(lits)-f.k)
+	default:
+		panic("logic: positive cardinality flag on a non-monotone formula")
+	}
+	e.implied[f] = out
+	return out
+}
+
+func (e *Encoder) impliedKidLits(f *Formula) []sat.Lit {
+	lits := make([]sat.Lit, len(f.kids))
+	for i, k := range f.kids {
+		lits[i] = e.Implying(k)
+	}
+	return lits
+}
+
+// atMostImplying returns a literal p with p → "at most k of lits are
+// true", using Sinz's one-sided sequential counter (CP 2005): cell s[j]
+// after step i is forced true when at least j+1 of the first i+1
+// literals are, but nothing forces it false, and an overflow clause
+// ¬x ∨ ¬s[k-1] ∨ ¬p forbids a (k+1)-th true literal while p holds.
+// Setting every cell to the exact prefix count satisfies all clauses
+// with p true whenever the count is within k, so p can always be set to
+// the atom's truth value. Only cells that can still reach the overflow
+// are materialized: none after the last literal, none counting past the
+// prefix length or past k, and none too low for the remaining literals
+// to lift past k.
+func (e *Encoder) atMostImplying(lits []sat.Lit, k int) sat.Lit {
+	n := len(lits)
+	if k >= n {
+		return e.constTrue()
+	}
+	if k < 0 {
+		return e.constTrue().Neg()
+	}
+	p := e.fresh()
+	// prev[j] ← at least j+1 of the literals seen so far are true.
+	var prev []sat.Lit
+	for i, x := range lits {
+		switch {
+		case k == 0:
+			e.mustAdd(x.Neg(), p.Neg())
+		case len(prev) == k:
+			e.mustAdd(x.Neg(), prev[k-1].Neg(), p.Neg())
+		}
+		if i == n-1 || k == 0 {
+			continue
+		}
+		cur := make([]sat.Lit, min(i+1, k))
+		for j := range cur {
+			if j+n-1-i < k {
+				// Even with every later literal true, this count
+				// could not reach k+1: nothing reads the cell.
+				cur[j] = sat.LitUndef
+				continue
+			}
+			cur[j] = e.fresh()
+			if j == 0 {
+				e.mustAdd(x.Neg(), cur[j])
+			} else {
+				e.mustAdd(x.Neg(), prev[j-1].Neg(), cur[j])
+			}
+			if j < len(prev) {
+				e.mustAdd(prev[j].Neg(), cur[j])
+			}
+		}
+		prev = cur
+	}
+	return p
+}
+
 // Assert requires f to hold in every model.
 func (e *Encoder) Assert(f *Formula) {
 	// Top-level conjunctions are split to keep the CNF shallow.
@@ -250,7 +366,7 @@ func (e *Encoder) Assert(f *Formula) {
 		}
 		return
 	}
-	e.mustAdd(e.Lit(f))
+	e.mustAdd(e.Implying(f))
 }
 
 // AssertNot requires f to be false in every model.
@@ -265,7 +381,8 @@ func (e *Encoder) AssertNot(f *Formula) { e.mustAdd(e.Lit(f).Neg()) }
 // encoding cache's mechanism for disabling stale constraint groups
 // without rebuilding the CNF (DESIGN.md §16). Top-level conjunctions
 // are split like Assert's, so each conjunct gets its own short guarded
-// clause instead of one deep Tseitin tree.
+// clause instead of one deep Tseitin tree. The body is encoded by
+// Implying; the selector, which occurs negated, by Lit.
 func (e *Encoder) AssertGuarded(sel, f *Formula) {
 	if f.kind == kindAnd {
 		for _, k := range f.kids {
@@ -279,17 +396,18 @@ func (e *Encoder) AssertGuarded(sel, f *Formula) {
 		}
 		return
 	}
-	e.mustAdd(e.Lit(sel).Neg(), e.Lit(f))
+	e.mustAdd(e.Lit(sel).Neg(), e.Implying(f))
 }
 
 // Solve decides the asserted constraints, optionally under assumption
-// formulas (each assumption is encoded and passed to the SAT core as an
-// assumption literal, so it does not permanently constrain the
-// instance).
+// formulas (each assumption is encoded by Implying and passed to the SAT
+// core as an assumption literal, so it does not permanently constrain
+// the instance). A caller that reads an assumed literal back, e.g. to
+// certify an Unsat verdict, must call Implying on the same formula.
 func (e *Encoder) Solve(assumptions ...*Formula) sat.Status {
 	lits := make([]sat.Lit, len(assumptions))
 	for i, a := range assumptions {
-		lits[i] = e.Lit(a)
+		lits[i] = e.Implying(a)
 	}
 	return e.solver.Solve(lits...)
 }

@@ -3,7 +3,9 @@
 // connectives and cardinality atoms, a Tseitin transformation onto
 // package sat, and sequential-counter encodings for the paper's counting
 // constraints (failure budgets, unique-measurement counts, per-state
-// measurement multiplicities).
+// measurement multiplicities). Asserted and assumed formulas are encoded
+// in a positive context, where a cardinality atom that occurs only under
+// And/Or gets Sinz's one-sided counter instead of the exact one.
 //
 // This plays the role of the paper's "SMT logics" (Boolean and integer
 // terms): all integer terms in the model are cardinalities of Boolean
@@ -38,6 +40,9 @@ type Formula struct {
 	name string // kindVar
 	kids []*Formula
 	k    int // cardinality bound
+	// posCard: f is a cardinality atom, or an And/Or with a kid that
+	// has posCard. Encoder.Implying encodes exactly these one-sided.
+	posCard bool
 }
 
 var (
@@ -98,7 +103,7 @@ func And(fs ...*Formula) *Formula {
 	case 1:
 		return kids[0]
 	}
-	return &Formula{kind: kindAnd, kids: kids}
+	return &Formula{kind: kindAnd, kids: kids, posCard: anyPosCard(kids)}
 }
 
 // Or returns the disjunction of fs, folding constants. Or() is False.
@@ -119,7 +124,16 @@ func Or(fs ...*Formula) *Formula {
 	case 1:
 		return kids[0]
 	}
-	return &Formula{kind: kindOr, kids: kids}
+	return &Formula{kind: kindOr, kids: kids, posCard: anyPosCard(kids)}
+}
+
+func anyPosCard(fs []*Formula) bool {
+	for _, f := range fs {
+		if f.posCard {
+			return true
+		}
+	}
+	return false
 }
 
 // Implies returns a -> b.
@@ -138,7 +152,7 @@ func AtMost(k int, fs ...*Formula) *Formula {
 	if k >= len(fs) {
 		return trueFormula
 	}
-	return &Formula{kind: kindAtMost, k: k, kids: append([]*Formula(nil), fs...)}
+	return &Formula{kind: kindAtMost, k: k, kids: append([]*Formula(nil), fs...), posCard: true}
 }
 
 // AtLeast returns the cardinality atom "at least k of fs are true".
@@ -149,7 +163,7 @@ func AtLeast(k int, fs ...*Formula) *Formula {
 	if k > len(fs) {
 		return falseFormula
 	}
-	return &Formula{kind: kindAtLeast, k: k, kids: append([]*Formula(nil), fs...)}
+	return &Formula{kind: kindAtLeast, k: k, kids: append([]*Formula(nil), fs...), posCard: true}
 }
 
 // Exactly returns the cardinality constraint "exactly k of fs are true".

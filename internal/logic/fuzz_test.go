@@ -108,3 +108,53 @@ func FuzzEncodeMatchesEval(f *testing.F) {
 		}
 	})
 }
+
+// FuzzImplyingMatchesEval checks the positive-context encoding node by
+// node: with every variable fixed by a unit clause, assuming any
+// subformula h of a formula (Solve encodes it through Implying) is
+// satisfiable exactly when h evaluates true, and assuming Not(h)
+// (through Lit) exactly when h evaluates false. The nodes are visited
+// bottom-up in one encoder, so the one-sided and the exact encodings of
+// shared nodes coexist, each cached on its own side.
+func FuzzImplyingMatchesEval(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 4, 1, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1, 1})
+	f.Add([]byte{5, 1, 4, 2, 1, 0, 3, 1, 0, 4, 1, 1, 0, 2, 2, 1, 0, 1, 1, 0, 1})
+	f.Add([]byte{4, 2, 5, 3, 1, 2, 0, 7, 1, 0, 1, 0, 9, 0, 3, 6, 1, 1, 0, 1, 0})
+	f.Add([]byte{5, 1, 1, 5, 4, 1, 0, 1, 2, 1, 3, 2, 1, 4, 1, 0, 1, 1, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteSource(data)
+		nv := 1 + src.intn(6)
+		g := fuzzFormula(&src, 4, nv)
+		m := make(Model, nv)
+		e := NewEncoder()
+		for i := 0; i < nv; i++ {
+			name := fmt.Sprintf("x%d", i)
+			m[name] = src.intn(2) == 1
+			if m[name] {
+				e.Assert(V(name))
+			} else {
+				e.Assert(Not(V(name)))
+			}
+		}
+		seen := make(map[*Formula]bool)
+		var visit func(h *Formula)
+		visit = func(h *Formula) {
+			if seen[h] {
+				return
+			}
+			seen[h] = true
+			for _, k := range h.kids {
+				visit(k)
+			}
+			want := h.Eval(m)
+			if got := e.Solve(h) == sat.Sat; got != want {
+				t.Fatalf("%v under %v: assumed satisfiable=%v, evaluation %v", h, m, got, want)
+			}
+			if got := e.Solve(Not(h)) == sat.Sat; got != !want {
+				t.Fatalf("not %v under %v: assumed satisfiable=%v, evaluation %v", h, m, got, !want)
+			}
+		}
+		visit(g)
+	})
+}

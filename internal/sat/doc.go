@@ -11,7 +11,8 @@
 // The paper this repository reproduces solves its model with Z3; every
 // constraint in that model is propositional structure plus cardinality
 // sums, so a SAT back-end (fed by package logic's Tseitin and
-// sequential-counter encodings) decides exactly the same fragment.
+// sequential-counter encodings, one-sided where a cardinality atom
+// occurs only positively) decides exactly the same fragment.
 //
 // # Clause store
 //

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -87,5 +89,66 @@ func TestEnumerateRejectsStaleEncodingCheckpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("fresh enumerate: status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestEnumerateRejectsVersion1Checkpoint pins the EncodingVersion bump
+// that gave positive cardinality atoms one-sided counters: a journal
+// written under the EncodingVersion 1 fingerprint is refused with 409
+// and left untouched on disk, while the same journal under the current
+// fingerprint resumes.
+func TestEnumerateRejectsVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, func(o *Options) { o.CheckpointDir = dir })
+	q := core.Query{Property: core.Observability, Combined: true, K: 2}
+	a, err := core.NewAnalyzer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors, err := a.EnumerateThreats(q, 1)
+	if err != nil || len(vectors) != 1 {
+		t.Fatalf("direct enumeration: %d vectors, err %v", len(vectors), err)
+	}
+	journal := func(id string, version int) string {
+		t.Helper()
+		fp, err := core.CampaignFingerprint(testConfig(t), core.CheckpointKindEnumerate, q, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, id+".ckpt")
+		ck, err := core.OpenCheckpoint(path, core.CheckpointKindEnumerate, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Add(vectors[0]); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	path := journal("v1", 1)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/enumerate",
+		EnumerateRequest{Config: "grid", Query: q, RequestID: "v1"})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("version-1 checkpoint: status = %d, want 409; body %s", resp.StatusCode, body)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused checkpoint was rewritten:\n%s\nnow\n%s", before, after)
+	}
+
+	journal("current", core.EncodingVersion)
+	_, trailer := enumerateVectors(t, ts.URL, EnumerateRequest{Config: "grid", Query: q, RequestID: "current"})
+	if trailer == nil || trailer.Resumed != 1 {
+		t.Fatalf("current-version checkpoint: trailer %+v, want 1 resumed vector", trailer)
 	}
 }
