@@ -256,7 +256,7 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 			sig:   hex.EncodeToString(h.Sum(nil)[:12]),
 			named: []string{fmt.Sprintf("Del_%d", ied)},
 			form: func() *logic.Formula {
-				return logic.Iff(delVar(ied), a.deliveryFormula(ied, secured))
+				return logic.Iff(delVar(ied), a.deliveryFormula(ied, newPathTerms(secured)))
 			},
 		}
 	}

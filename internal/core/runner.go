@@ -148,10 +148,54 @@ func (r *Runner) verifyTask(ctx context.Context, cfg *scadanet.Config, queries [
 // VerifyAllCollect.
 func (r *Runner) VerifyAll(ctx context.Context, cfg *scadanet.Config, queries []Query) ([]*Result, error) {
 	results := make([]*Result, len(queries))
-	err := r.RunEach(ctx, len(queries), func(ctx context.Context) (func(i int) error, error) {
+	err := r.runEach(ctx, r.dispatchOrder(queries, nil), func(ctx context.Context) (func(i int) error, error) {
 		return r.verifyTask(ctx, cfg, queries, func(i int, res *Result) { results[i] = res })
-	})
+	}, nil)
 	return results, err
+}
+
+// dispatchOrder is the order in which a campaign hands queries to its
+// workers. Without snapshots it is the input order. With them, the
+// first pending query of every snapshot (one per property, R and KL,
+// the structural fields encodingKey covers) goes first, in input order,
+// and the rest follow in input order. A query whose snapshot another
+// worker is still building waits for that build, so leading with one
+// query per snapshot lets the workers build distinct snapshots side by
+// side instead of queueing behind one; the pool's wall time then no
+// longer depends on where in the input each snapshot's first query
+// sits. Queries with done[i] set (nil: none) are skipped when picking
+// the leaders. Results are indexed like the input either way.
+func (r *Runner) dispatchOrder(queries []Query, done []bool) []int {
+	if !r.probe().usesSnapshots() {
+		return inputOrder(len(queries))
+	}
+	order := make([]int, 0, len(queries))
+	type group struct{ prop, r, kl int }
+	seen := make(map[group]bool)
+	lead := make([]bool, len(queries))
+	for i, q := range queries {
+		g := group{int(q.Property), q.R, q.KL}
+		if (done == nil || !done[i]) && !seen[g] {
+			seen[g] = true
+			lead[i] = true
+			order = append(order, i)
+		}
+	}
+	for i := range queries {
+		if !lead[i] {
+			order = append(order, i)
+		}
+	}
+	return order
+}
+
+// inputOrder is the identity dispatch order over n tasks.
+func inputOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // VerifyAllCollect is the partial-results variant of VerifyAll: every
@@ -189,7 +233,7 @@ func (r *Runner) VerifyAllResumable(ctx context.Context, cfg *scadanet.Config, q
 		done[e.Index] = true
 	}
 	metrics := r.probe().metrics
-	err := r.runEach(ctx, len(queries), func(ctx context.Context) (func(i int) error, error) {
+	err := r.runEach(ctx, r.dispatchOrder(queries, done), func(ctx context.Context) (func(i int) error, error) {
 		task, err := r.verifyTask(ctx, cfg, queries, func(i int, res *Result) {
 			outcomes[i].Result = res
 			if cerr := ck.Add(campaignEntry{Index: i, Result: res}); cerr != nil {
@@ -229,7 +273,7 @@ func (r *Runner) Run(ctx context.Context, n int, task func(i int) error) error {
 // the caller's context is done — wire it into WithInterrupt (as
 // VerifyAll does) to make in-flight solves abandonable.
 func (r *Runner) RunEach(ctx context.Context, n int, newTask func(ctx context.Context) (func(i int) error, error)) error {
-	return r.runEach(ctx, n, newTask, nil)
+	return r.runEach(ctx, inputOrder(n), newTask, nil)
 }
 
 // runTask executes task(i) with panic isolation: a panic raised by the
@@ -246,7 +290,8 @@ func runTask(task func(i int) error, faults *faultinject.Faults, i int) (err err
 	return task(i)
 }
 
-// runEach is the engine behind RunEach and the collect-mode campaigns.
+// runEach is the engine behind RunEach and the campaigns: it dispatches
+// the task indices in order (a permutation of 0..n-1, n = len(order)).
 // With collect == nil it is strict: the first task error records as the
 // campaign error and cancels everything in flight. With a collect
 // callback, task errors (panics included) are handed to collect(i, err)
@@ -254,7 +299,8 @@ func runTask(task func(i int) error, faults *faultinject.Faults, i int) (err err
 // context cancellation surface as the returned error. collect is called
 // from worker goroutines, one call per failed index — distinct indices,
 // so index-sliced writes need no locking.
-func (r *Runner) runEach(ctx context.Context, n int, newTask func(ctx context.Context) (func(i int) error, error), collect func(i int, err error)) error {
+func (r *Runner) runEach(ctx context.Context, order []int, newTask func(ctx context.Context) (func(i int) error, error), collect func(i int, err error)) error {
+	n := len(order)
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -315,7 +361,7 @@ func (r *Runner) runEach(ctx context.Context, n int, newTask func(ctx context.Co
 	}
 
 dispatch:
-	for i := 0; i < n; i++ {
+	for _, i := range order {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
