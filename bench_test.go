@@ -239,38 +239,6 @@ func BenchmarkParallelSweep57(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepVsFresh ablates the encoding-reuse path: one
-// incrementally reused solver across a k-sweep versus a fresh encoding
-// per budget.
-func BenchmarkSweepVsFresh(b *testing.B) {
-	cfg := mustSynth(b, synth.Params{Bus: powergrid.IEEE57(), Seed: 3, Hierarchy: 2, SecureFraction: 0.9})
-	const maxK = 6
-	b.Run("reuse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := mustAnalyzer(b, cfg)
-			sw, err := a.NewSweep(scadaver.Observability, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k <= maxK; k++ {
-				if _, err := sw.VerifyK(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := mustAnalyzer(b, cfg)
-			for k := 0; k <= maxK; k++ {
-				if _, err := a.Verify(scadaver.Query{Property: scadaver.Observability, Combined: true, K: k}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkAblationSATvsBruteForce compares the paper's
 // constraint-solving approach against exhaustive contingency
 // enumeration on the same query — the design choice the paper's

@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		enumerate  = fs.Int("enumerate", 10, "max threat vectors to enumerate when violated (0 = none)")
 		maxRes     = fs.Bool("max-resiliency", false, "also report maximum IED-only and RTU-only resiliency")
 		sweepK     = fs.Int("sweep", -1, "verify every combined budget k = 0..K (overrides -k/-k1/-k2)")
-		workers    = fs.Int("workers", 1, "sweep pool size: 1 = incremental solver reuse, N > 1 = parallel pool, 0 = GOMAXPROCS")
+		workers    = fs.Int("workers", 1, "sweep pool size: 1 = serial, N > 1 = parallel pool, 0 = GOMAXPROCS")
 		stats      = fs.Bool("stats", false, "print per-solve solver statistics")
 		harden     = fs.Bool("harden", false, "when violated, synthesize a remediation plan")
 		hardenOut  = fs.String("harden-out", "", "write the hardened configuration to this file")
@@ -78,7 +78,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		keepGoing  = fs.Bool("keep-going", true, "for parallel -sweep: isolate per-query failures instead of aborting the campaign")
 		presimp    = fs.Bool("presimplify", false, "preprocess the CNF before search (unit propagation, subsumption, variable elimination)")
 		certify    = fs.Bool("certify", false, "certify every verdict: proof-log the solve and check it in-process (DRAT), check sat models against the query formula, and quarantine+re-solve on divergence")
-		noCache    = fs.Bool("no-cache", false, "disable the cross-query encoding cache (re-encode the structure per query)")
 		mutateStr  = fs.String("mutate", "", "apply a mutation delta before verification (\"link-remove 7; device-down 3; key-rotate 4 256\"): the pre-mutation structure is verified first to warm the delta-aware encoding cache, then only the delta's dirty cone is re-encoded (see the delta/carried counters under -stats)")
 		showVer    = fs.Bool("version", false, "print version and exit")
 	)
@@ -173,24 +172,15 @@ func run(args []string, out io.Writer) (retErr error) {
 	if budget.Enabled() {
 		opts = append(opts, core.WithBudget(budget))
 	}
-	// The encoding cache stays off for -sweep campaigns: the incremental
-	// single-solver path and the parallel pool are contracted to print
-	// identical witness vectors (see TestRunSweep), and solving clones of
-	// a shared snapshot explores the search space in a different order
-	// than the from-scratch encodings that contract was defined over.
-	// Everywhere else (single queries, enumeration, hardening) the cache
-	// is on by default; -no-cache is the escape hatch.
-	var dcache *core.EncodingCache
-	if !*noCache && *sweepK < 0 {
-		if *mutateStr != "" {
-			// Delta-aware: -mutate evolves warm snapshots in place instead
-			// of cold re-encoding the mutated structure.
-			dcache = core.NewEncodingCache(core.CacheWithDelta())
-		} else {
-			dcache = core.NewEncodingCache()
-		}
-		opts = append(opts, core.WithEncodingCache(dcache))
+	// One encoding cache serves every query of the run, the pool's
+	// workers included. -mutate makes it delta-aware, so the mutation
+	// evolves warm snapshots in place instead of cold re-encoding the
+	// mutated structure.
+	dcache := core.NewEncodingCache()
+	if *mutateStr != "" {
+		dcache = core.NewEncodingCache(core.CacheWithDelta())
 	}
+	opts = append(opts, core.WithEncodingCache(dcache))
 	if *presimp {
 		opts = append(opts, core.WithPresimplify(true))
 	}
@@ -203,9 +193,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 
 	if *mutateStr != "" {
-		if *sweepK >= 0 {
-			return fmt.Errorf("-mutate is incompatible with -sweep (sweep campaigns run uncached)")
-		}
 		delta, err := scadanet.ParseDelta(*mutateStr)
 		if err != nil {
 			return err
@@ -214,25 +201,21 @@ func run(args []string, out io.Writer) (retErr error) {
 		if err != nil {
 			return err
 		}
-		if dcache != nil {
-			// Warm the delta-aware cache on the pre-mutation structure,
-			// then evolve it: the mutated verification below re-encodes
-			// only the dirty cone and carries root learnts over.
-			pre, err := analyzer.Verify(q)
-			if err != nil {
-				return err
-			}
-			ms, err := dcache.Mutate(cfg, next, opts...)
-			if err != nil {
-				return err
-			}
-			if !*jsonOut {
-				fmt.Fprintf(out, "pre-mutation: %v\n", pre)
-				fmt.Fprintf(out, "mutation: %d groups reused, %d re-encoded, %d learnts carried\n",
-					ms.DeltaReuse, ms.DeltaReencoded, ms.CarriedLearnts)
-			}
+		// Warm the delta-aware cache on the pre-mutation structure, then
+		// evolve it: the mutated verification below re-encodes only the
+		// dirty cone and carries root learnts over.
+		pre, err := analyzer.Verify(q)
+		if err != nil {
+			return err
+		}
+		ms, err := dcache.Mutate(cfg, next, opts...)
+		if err != nil {
+			return err
 		}
 		if !*jsonOut {
+			fmt.Fprintf(out, "pre-mutation: %v\n", pre)
+			fmt.Fprintf(out, "mutation: %d groups reused, %d re-encoded, %d learnts carried\n",
+				ms.DeltaReuse, ms.DeltaReencoded, ms.CarriedLearnts)
 			fmt.Fprintf(out, "delta: %s\n", delta)
 			fmt.Fprintf(out, "dirty cone: devices=%v links=%v topology=%v\n",
 				dirty.Devices, dirty.Links, dirty.Topology)
@@ -354,13 +337,14 @@ func openEnumerateCheckpoint(path string, cfg *scadanet.Config, q core.Query) (*
 }
 
 // runSweep verifies the property under every combined budget k = 0..maxK.
-// With one worker a single solver is reused incrementally across budgets
-// (core.Sweep); with more, the budgets fan out over a core.Runner pool of
-// independent solvers. Both paths report identical verdicts, share the
-// same checkpoint format (entries keyed by k), and a checkpoint written
-// under one worker count resumes under any other. In parallel keep-going
-// mode (the default) per-query failures are isolated and reported at the
-// end instead of aborting the campaign.
+// With one worker the budgets run serially (core.Sweep); with more, they
+// fan out over a core.Runner pool. Every budget solves on its own clone
+// of the same cached snapshot either way, so both report identical
+// verdicts and witness vectors, share the same checkpoint format
+// (entries keyed by k), and a checkpoint written under one worker count
+// resumes under any other. In parallel keep-going mode (the default)
+// per-query failures are isolated and reported at the end instead of
+// aborting the campaign.
 func runSweep(out io.Writer, cfg *scadanet.Config, analyzer *core.Analyzer, prop core.Property, r, maxK, workers int, stats, jsonOut bool, checkpointPath string, keepGoing bool, opts []core.Option) error {
 	queries := make([]core.Query, 0, maxK+1)
 	for k := 0; k <= maxK; k++ {

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"scadaver/internal/powergrid"
+	"scadaver/internal/scadanet"
+	"scadaver/internal/synth"
 )
 
 const configPath = "../../testdata/case5bus.scada"
@@ -102,17 +106,35 @@ func TestRunHarden(t *testing.T) {
 	}
 }
 
+// sweepVerdicts runs a -sweep campaign and returns its verdict lines
+// with the trailing wall-time annotation stripped: only the verdict and
+// vector must agree across pool sizes.
+func sweepVerdicts(t *testing.T, args ...string) (string, []string) {
+	t.Helper()
+	var sb strings.Builder
+	if err := run(args, &sb); err != nil {
+		t.Fatal(err)
+	}
+	var vs []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.Contains(line, "-resilient") {
+			if i := strings.LastIndex(line, " ("); i >= 0 {
+				line = line[:i]
+			}
+			vs = append(vs, line)
+		}
+	}
+	return sb.String(), vs
+}
+
+// TestRunSweep: the serial sweep and the parallel pool must print the
+// same verdict lines, witness vectors included, on case5 and on a
+// synthesized IEEE-57 configuration whose Sat budgets admit many
+// minimal witnesses.
 func TestRunSweep(t *testing.T) {
-	// The incremental single-solver path and the parallel pool must
-	// print the same verdict lines.
-	var serial, parallel strings.Builder
-	if err := run([]string{"-config", configPath, "-property", "obs", "-sweep", "4", "-stats"}, &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-config", configPath, "-property", "obs", "-sweep", "4", "-workers", "4", "-stats"}, &parallel); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []string{serial.String(), parallel.String()} {
+	serial, s := sweepVerdicts(t, "-config", configPath, "-property", "obs", "-sweep", "4", "-stats")
+	parallel, p := sweepVerdicts(t, "-config", configPath, "-property", "obs", "-sweep", "4", "-workers", "4", "-stats")
+	for _, out := range []string{serial, parallel} {
 		if !strings.Contains(out, "0-resilient observability: HOLDS") ||
 			!strings.Contains(out, "4-resilient observability: VIOLATED") {
 			t.Fatalf("sweep output: %s", out)
@@ -121,23 +143,34 @@ func TestRunSweep(t *testing.T) {
 			t.Fatalf("missing per-solve stats: %s", out)
 		}
 	}
-	verdicts := func(out string) []string {
-		var vs []string
-		for _, line := range strings.Split(out, "\n") {
-			if strings.Contains(line, "-resilient") {
-				// Strip the trailing wall-time annotation; only the
-				// verdict and vector must agree across pool sizes.
-				if i := strings.LastIndex(line, " ("); i >= 0 {
-					line = line[:i]
-				}
-				vs = append(vs, line)
-			}
-		}
-		return vs
-	}
-	s, p := verdicts(serial.String()), verdicts(parallel.String())
 	if len(s) != 5 || strings.Join(s, "|") != strings.Join(p, "|") {
-		t.Fatalf("verdicts differ:\nserial:   %v\nparallel: %v", s, p)
+		t.Fatalf("case5 verdicts differ:\nserial:   %v\nparallel: %v", s, p)
+	}
+
+	// scada-synth -bus ieee57 -hierarchy 2 -seed 57007 (the CLI's
+	// defaults for everything else).
+	cfg, err := synth.Generate(synth.Params{
+		Bus: powergrid.IEEE57(), Hierarchy: 2, MeasurementPercent: 100,
+		SecureFraction: 0.8, Seed: 57007, K1: 1, K2: 1, R: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ieee57.scada")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scadanet.WriteConfig(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, s = sweepVerdicts(t, "-config", path, "-property", "obs", "-sweep", "5", "-workers", "1")
+	_, p = sweepVerdicts(t, "-config", path, "-property", "obs", "-sweep", "5", "-workers", "2")
+	if len(s) != 6 || strings.Join(s, "|") != strings.Join(p, "|") {
+		t.Fatalf("ieee57 verdicts differ:\nserial:   %v\nparallel: %v", s, p)
 	}
 }
 

@@ -67,7 +67,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		keepGoing  = fs.Bool("keep-going", true, "for -fig sweep: isolate per-query failures instead of aborting the campaign")
 		presimp    = fs.Bool("presimplify", false, "preprocess each structural CNF before search (amortized via the encoding cache)")
 		certify    = fs.Bool("certify", false, "certify every verdict (proof-logged solves, in-process DRAT checking, sat-model audits); the §R3 overhead ablation")
-		noCache    = fs.Bool("no-cache", false, "disable the per-campaign encoding cache (re-encode the structure per query)")
 		watch      = fs.Duration("watch", 0, "print a live progress line per in-flight query to stderr every interval (0 = off)")
 		showVer    = fs.Bool("version", false, "print version and exit")
 	)
@@ -92,7 +91,7 @@ func run(args []string, w io.Writer) (retErr error) {
 		Inputs: *inputs, Runs: *runs, Workers: *workers,
 		Trace: root, Metrics: reg,
 		Budget:      core.QueryBudget{Deadline: *deadline, Retries: *retries},
-		Presimplify: *presimp, NoCache: *noCache, Certify: *certify,
+		Presimplify: *presimp, Certify: *certify,
 	}
 	if *watch > 0 {
 		opt.Queries = obs.NewQueryRegistry(0, 0)

@@ -137,7 +137,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		queryHistory = fs.Int("query-history", 0, "completed queries retained by GET /v1/queries (0 = default 64)")
 		presimp      = fs.Bool("presimplify", false, "preprocess each structural CNF before search (amortized via the shared encoding cache)")
 		certify      = fs.Bool("certify", false, "certify every verdict (proof-logged solves checked in-process, sat-model audits, quarantine on divergence); responses carry certified/proofClauses/auditMs attestation")
-		noCache      = fs.Bool("no-cache", false, "disable the service-wide encoding cache (re-encode the structure per request)")
 		cacheEntries = fs.Int("cache-entries", 0, "encoding-cache entry cap, LRU-evicted beyond it (0 = default 256)")
 		maxSubs      = fs.Int("max-subscribers", 0, "concurrent GET /v1/subscribe watchers per config; excess shed with 503 (0 = default 64)")
 		drainTimeout = fs.Duration("drain-timeout", 20*time.Second, "grace for in-flight solves on SIGTERM before they are cancelled")
@@ -192,7 +191,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		SLOThreshold:     *sloThresh,
 		QueryHistory:     *queryHistory,
 		Presimplify:      *presimp,
-		NoEncodingCache:  *noCache,
 		CacheEntries:     *cacheEntries,
 		MaxSubscribers:   *maxSubs,
 		Certify:          *certify,

@@ -38,10 +38,11 @@ func New(cfg *scadanet.Config, policy *secpolicy.Policy) *Checker {
 }
 
 // reaches decides, by BFS over alive devices and usable links, whether
-// the IED can reach the MTU. A link is usable when it is up, both
-// pairings hold, and (for secured delivery) its hop capabilities include
+// the IED can reach the MTU. A link is usable when it is up — neither
+// statically down nor in the failed-link set cut — both pairings hold,
+// and (for secured delivery) its hop capabilities include
 // authentication and integrity protection.
-func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool, secured bool) bool {
+func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool, secured bool) bool {
 	start := c.cfg.Net.Device(ied)
 	if start == nil || start.Down || down[ied] {
 		return false
@@ -61,7 +62,7 @@ func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool
 			return true
 		}
 		for _, l := range adj[at] {
-			if l.Down {
+			if l.Down || cut[l.ID] {
 				continue
 			}
 			protoOK, cryptoOK := c.cfg.Net.HopPairing(l)
@@ -94,11 +95,11 @@ func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool
 }
 
 // Delivered returns the 1-based measurement IDs that reach the MTU under
-// the failure set.
-func (c *Checker) Delivered(down map[scadanet.DeviceID]bool, secured bool) map[int]bool {
+// the failure set: the devices in down and the links in cut failed.
+func (c *Checker) Delivered(down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool, secured bool) map[int]bool {
 	out := map[int]bool{}
 	for _, d := range c.cfg.Net.DevicesOfKind(scadanet.IED) {
-		if !c.reaches(d.ID, down, secured) {
+		if !c.reaches(d.ID, down, cut, secured) {
 			continue
 		}
 		for _, z := range c.cfg.Net.MeasurementsOf(d.ID) {
@@ -111,7 +112,12 @@ func (c *Checker) Delivered(down map[scadanet.DeviceID]bool, secured bool) map[i
 // Observable evaluates the paper's observability condition under the
 // failure set.
 func (c *Checker) Observable(down map[scadanet.DeviceID]bool, secured bool) bool {
-	delivered := c.Delivered(down, secured)
+	return c.ObservableUnder(down, nil, secured)
+}
+
+// ObservableUnder is Observable with the links in cut failed as well.
+func (c *Checker) ObservableUnder(down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool, secured bool) bool {
+	delivered := c.Delivered(down, cut, secured)
 	n := c.cfg.Msrs.NStates
 	covered := make([]bool, n)
 	for z := range delivered {
@@ -139,7 +145,13 @@ func (c *Checker) Observable(down map[scadanet.DeviceID]bool, secured bool) bool
 // BadDataDetectable evaluates r-bad-data detectability (every state
 // covered by at least r+1 secured measurements).
 func (c *Checker) BadDataDetectable(down map[scadanet.DeviceID]bool, r int) bool {
-	delivered := c.Delivered(down, true)
+	return c.BadDataDetectableUnder(down, nil, r)
+}
+
+// BadDataDetectableUnder is BadDataDetectable with the links in cut
+// failed as well.
+func (c *Checker) BadDataDetectableUnder(down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool, r int) bool {
+	delivered := c.Delivered(down, cut, true)
 	counts := make([]int, c.cfg.Msrs.NStates)
 	for z := range delivered {
 		for _, x := range c.stateSets[z-1] {
@@ -185,6 +197,49 @@ func (c *Checker) FindViolation(k1, k2 int, holds PropertyFn) []scadanet.DeviceI
 		}
 	}
 	return nil
+}
+
+// LinkPropertyFn is a property evaluated under a failure set of devices
+// and links; it returns true when the property holds.
+type LinkPropertyFn func(down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool) bool
+
+// FindLinkViolation is FindViolation under a link budget as well: per
+// set of at most kl failed links — drawn from the links that are not
+// statically down, which are existing contingencies — it enumerates
+// every failure set of at most k1 IEDs and k2 RTUs. It returns the
+// first violating devices and links, and whether one exists (a
+// zero-failure violation returns two empty sets and true).
+func (c *Checker) FindLinkViolation(k1, k2, kl int, holds LinkPropertyFn) ([]scadanet.DeviceID, []scadanet.LinkID, bool) {
+	var links []scadanet.LinkID
+	for _, l := range c.cfg.Net.Links() {
+		if !l.Down {
+			links = append(links, l.ID)
+		}
+	}
+	cut := map[scadanet.LinkID]bool{}
+	failed := []scadanet.LinkID{}
+	var devs []scadanet.DeviceID
+	var search func(start, left int) bool
+	search = func(start, left int) bool {
+		devs = c.FindViolation(k1, k2, func(down map[scadanet.DeviceID]bool) bool { return holds(down, cut) })
+		if devs != nil {
+			return true
+		}
+		for i := start; left > 0 && i < len(links); i++ {
+			cut[links[i]] = true
+			failed = append(failed, links[i])
+			if search(i+1, left-1) {
+				return true
+			}
+			delete(cut, links[i])
+			failed = failed[:len(failed)-1]
+		}
+		return false
+	}
+	if !search(0, kl) {
+		return nil, nil, false
+	}
+	return devs, failed, true
 }
 
 // searchCombos returns (violating set, true) when some combination of

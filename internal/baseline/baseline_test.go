@@ -177,7 +177,7 @@ func TestDeliveredMatchesAnalyzer(t *testing.T) {
 	c, a := caseStudy(t, false)
 	for _, down := range []map[scadanet.DeviceID]bool{nil, {9: true}, {11: true}} {
 		for _, secured := range []bool{false, true} {
-			got := c.Delivered(down, secured)
+			got := c.Delivered(down, nil, secured)
 			want := a.DeliveredMeasurements(down, secured)
 			if len(got) != len(want) {
 				t.Fatalf("down=%v secured=%v: %v vs %v", down, secured, got, want)
@@ -188,5 +188,66 @@ func TestDeliveredMatchesAnalyzer(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLinkCutsMatchAnalyzerEval: under every single-link cut, with and
+// without device failures, the BFS evaluators agree with the analyzer's
+// direct evaluator.
+func TestLinkCutsMatchAnalyzerEval(t *testing.T) {
+	c, a := caseStudy(t, false)
+	for _, l := range c.cfg.Net.Links() {
+		cut := map[scadanet.LinkID]bool{l.ID: true}
+		for _, down := range []map[scadanet.DeviceID]bool{nil, {9: true}, {1: true, 5: true}} {
+			f := core.Failures{Devices: down, Links: cut}
+			for _, secured := range []bool{false, true} {
+				if got, want := c.ObservableUnder(down, cut, secured), a.EvalObservabilityUnder(f, secured); got != want {
+					t.Fatalf("link %d down=%v secured=%v: baseline=%v analyzer=%v", l.ID, down, secured, got, want)
+				}
+			}
+			if got, want := c.BadDataDetectableUnder(down, cut, 1), a.EvalBadDataDetectabilityUnder(f, 1); got != want {
+				t.Fatalf("link %d down=%v r=1: baseline=%v analyzer=%v", l.ID, down, got, want)
+			}
+		}
+	}
+}
+
+// TestFindLinkViolation: without a link budget it answers as
+// FindViolation does, and a violation it reports under a link budget
+// stays within that budget and violates the property.
+func TestFindLinkViolation(t *testing.T) {
+	c, _ := caseStudy(t, false)
+	holds := func(down map[scadanet.DeviceID]bool, cut map[scadanet.LinkID]bool) bool {
+		return c.ObservableUnder(down, cut, true)
+	}
+	for k1 := 0; k1 <= 2; k1++ {
+		for k2 := 0; k2 <= 1; k2++ {
+			devs, links, ok := c.FindLinkViolation(k1, k2, 0, holds)
+			want := c.FindViolation(k1, k2, func(down map[scadanet.DeviceID]bool) bool { return holds(down, nil) })
+			if ok != (want != nil) || len(links) != 0 || len(devs) != len(want) {
+				t.Fatalf("(%d,%d) kl=0: got %v %v %v, FindViolation %v", k1, k2, devs, links, ok, want)
+			}
+		}
+	}
+	found := false
+	for kl := 1; kl <= 2; kl++ {
+		devs, links, ok := c.FindLinkViolation(0, 0, kl, holds)
+		if !ok {
+			continue
+		}
+		found = true
+		if len(devs) != 0 || len(links) == 0 || len(links) > kl {
+			t.Fatalf("kl=%d: violation %v %v outside the budget", kl, devs, links)
+		}
+		cut := map[scadanet.LinkID]bool{}
+		for _, id := range links {
+			cut[id] = true
+		}
+		if holds(nil, cut) {
+			t.Fatalf("kl=%d: reported cut %v does not violate the property", kl, links)
+		}
+	}
+	if !found {
+		t.Fatal("no link cut of size <= 2 violates secured observability on the case study")
 	}
 }

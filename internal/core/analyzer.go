@@ -223,14 +223,13 @@ type Result struct {
 	// is set when the first audit diverged and the pristine quarantine
 	// re-solve produced the reported verdict; CertifyError then records
 	// the divergence (and the quarantine's own failure, if any).
-	// ProofClauses counts the derived clause additions logged on this
-	// query's solver (cumulative across a Sweep's shared solver; on a
-	// cached snapshot it includes the additions of the snapshot's
-	// checked prelude, so it is the size of the whole derivation).
-	// ProofReplayed counts the logged proof steps replayed into the
-	// checker to certify this verdict: zero for Sat and Unsolved
-	// verdicts, which do not rest on the proof, and for an Unsat one the
-	// steps logged since the previous check. Audit is the certification
+	// ProofClauses counts the derived clause additions of the query's
+	// derivation: the ones logged on its clone plus those of the
+	// snapshot's checked prelude it forked (the whole log when it
+	// shares none). ProofReplayed counts the logged proof steps replayed
+	// into the checker to certify this verdict: zero for Sat and
+	// Unsolved verdicts, which do not rest on the proof, and for an
+	// Unsat one the steps the query logged. Audit is the certification
 	// overhead, replay included, outside the solve phase.
 	Certified     bool          `json:"certified,omitempty"`
 	Quarantined   bool          `json:"quarantined,omitempty"`
@@ -361,12 +360,8 @@ type Analyzer struct {
 	cache       *EncodingCache
 	encFP       string
 
-	// Verdict certification (see certify.go). proofSink is the pending
-	// proof writer the next newEncoder call arms on its fresh solver;
-	// it is transient per-solve state (analyzers are single-goroutine),
-	// not configuration.
-	certify   bool
-	proofSink sat.ProofWriter
+	// Verdict certification (see certify.go).
+	certify bool
 
 	// Observability (all optional; nil = disabled). qs is the live
 	// registry entry of the query currently being verified (analyzers
@@ -403,6 +398,9 @@ func NewAnalyzer(cfg *scadanet.Config, opts ...Option) (*Analyzer, error) {
 	}
 	for _, o := range opts {
 		o(a)
+	}
+	if a.cache == nil {
+		a.cache = NewEncodingCache()
 	}
 	if err := a.budget.Validate(); err != nil {
 		return nil, err
@@ -455,13 +453,19 @@ func validateQuery(q Query) error {
 // violated and Result.Vector holds a minimized threat vector; Unsat
 // certifies the specification.
 //
+// Every query takes the same path: clone the cached structural snapshot
+// for the query's property, R and KL, then put the failure budget on
+// the private clone and solve. The snapshot and its clone are
+// deterministic, so a query's verdict and witness do not depend on which
+// analyzer, worker or sweep asks it.
+//
 // The verification is split into four observed phases — build (the
-// structural model: configuration constraints and delivery
-// definitions), encode (the query-specific budget and negated-property
-// constraints), solve, and decode (threat-vector extraction and
-// minimization) — reported in Result.Phases and, when tracing is on,
-// as child spans of the query span. A cancelled solve (interrupt hook)
-// still closes every span on the normal return path.
+// snapshot clone, or on a cache miss the structural model: configuration
+// constraints, delivery definitions and the negated property), encode
+// (the query's failure budget), solve, and decode (threat-vector
+// extraction and minimization) — reported in Result.Phases and, when
+// tracing is on, as child spans of the query span. A cancelled solve
+// (interrupt hook) still closes every span on the normal return path.
 func (a *Analyzer) Verify(q Query) (*Result, error) {
 	res, _, err := a.verify(q)
 	return res, err
@@ -484,104 +488,63 @@ func (a *Analyzer) verify(q Query) (*Result, *certState, error) {
 		}
 	}()
 
+	// Clone the shared structural snapshot (built and, under
+	// presimplify, simplified exactly once per structure) and solve with
+	// the failure budget on the private clone. A certified query forks
+	// the snapshot's prelude checker (see forkCertify).
 	var ph PhaseTimes
-	var enc *logic.Encoder
-	var built, cached bool
-	var entry *encodingEntry
-	var sp *obs.Span
-	var assumptions []*logic.Formula
-	var cert *certState
-	if a.usesSnapshots() {
-		// Cached path: clone the shared structural snapshot (built and,
-		// under presimplify, simplified exactly once per structure) and
-		// solve with the failure budget as an assumption on the private
-		// clone, mirroring how Sweep layers budgets over one encoding.
-		// Verdicts are unaffected, but the clone explores the search
-		// space in a different order than a from-scratch encoding, so a
-		// SAT query may surface a different (equally minimal) witness.
-		// A certified query forks the snapshot's prelude checker and
-		// falls back to the fresh path when the snapshot shares none.
-		sp = qspan.Start("build")
-		t0 := time.Now()
-		var err error
-		enc, built, entry, err = a.snapshot(q, a.certify, sp, qs)
-		if err != nil {
-			sp.End()
-			a.completeQuery(qs, qspan, "error", err.Error())
-			return nil, nil, err
-		}
-		cached = true
-		if a.certify {
-			cert = a.forkCertify(entry, enc)
-			cached = cert != nil
-		}
-		ph.Build = time.Since(t0)
-		if built {
-			preprocessPhase(&ph, entry.pre)
-		}
+	sp := qspan.Start("build")
+	t0 := time.Now()
+	enc, built, entry, err := a.snapshot(q, a.certify, sp, qs)
+	if err != nil {
 		sp.End()
+		a.completeQuery(qs, qspan, "error", err.Error())
+		return nil, nil, err
 	}
-	if cached {
-		qs.SetPhase("encode")
-		sp = qspan.Start("encode")
-		t0 := time.Now()
-		budget := a.budgetFormula(q)
-		if a.presimplify && entry != nil && entry.delta.Load() != nil {
-			// Delta snapshot: the clone is private, so the budget can be
-			// ASSERTED rather than assumed — and that is what makes the
-			// cheap preprocessing below possible. Under an assumption the
-			// budget's clauses stay guarded and root probing cannot fire
-			// them; asserted, specializing and probing the combined
-			// formula derives the same interface facts a cold
-			// presimplified encode gets from its full Simplify, which is
-			// what lets the solve finish at propagation depth.
-			enc.Assert(budget)
-			ph.Encode = time.Since(t0)
-			sp.End()
-			qs.SetPhase("preprocess")
-			sp = qspan.Start("preprocess")
-			t0 = time.Now()
-			enc.Solver().ReduceRoot()
-			enc.Solver().ProbeRoot(queryProbeLimit)
-			ph.Preprocess = time.Since(t0)
-			sp.End()
-		} else {
-			assumptions = append(assumptions, budget)
-			ph.Encode = time.Since(t0)
-			sp.End()
-		}
-	} else {
-		sp = qspan.Start("build")
-		t0 := time.Now()
-		cert = a.beginCertify()
-		var delivered []*logic.Formula
-		enc, delivered = a.encodeStructure(q)
-		a.proofSink = nil
-		ph.Build += time.Since(t0)
-		sp.End()
+	var cert *certState
+	if a.certify {
+		enc, cert = a.forkCertify(q, entry, enc, sp, qs)
+	}
+	ph.Build = time.Since(t0)
+	if built {
+		preprocessPhase(&ph, entry.pre)
+	}
+	sp.End()
 
-		qs.SetPhase("encode")
-		sp = qspan.Start("encode")
-		t0 = time.Now()
-		enc.Assert(a.budgetFormula(q))
-		enc.Assert(a.violationFormula(q, delivered))
+	qs.SetPhase("encode")
+	sp = qspan.Start("encode")
+	t0 = time.Now()
+	budget := a.budgetFormula(q)
+	var assumptions []*logic.Formula
+	if a.presimplify && entry.delta.Load() != nil {
+		// Delta snapshot: the clone is private, so the budget can be
+		// ASSERTED rather than assumed — and that is what makes the
+		// cheap preprocessing below possible. Under an assumption the
+		// budget's clauses stay guarded and root probing cannot fire
+		// them; asserted, specializing and probing the combined
+		// formula derives the same interface facts a cold
+		// presimplified encode gets from its full Simplify, which is
+		// what lets the solve finish at propagation depth.
+		enc.Assert(budget)
 		ph.Encode = time.Since(t0)
 		sp.End()
-
-		if a.presimplify {
-			qs.SetPhase("preprocess")
-			sp = qspan.Start("preprocess")
-			t0 = time.Now()
-			enc.Simplify()
-			ph.Preprocess += time.Since(t0)
-			sp.End()
-		}
+		qs.SetPhase("preprocess")
+		sp = qspan.Start("preprocess")
+		t0 = time.Now()
+		enc.Solver().ReduceRoot()
+		enc.Solver().ProbeRoot(queryProbeLimit)
+		ph.Preprocess = time.Since(t0)
+		sp.End()
+	} else {
+		assumptions = append(assumptions, budget)
+		ph.Encode = time.Since(t0)
+		sp.End()
 	}
 
 	qs.SetPhase("solve")
 	sp = qspan.Start("solve")
 	a.armProgress(enc, sp)
-	t0 := time.Now()
+	t0 = time.Now()
 	out := a.solveBudgeted(q, enc, sp, assumptions...)
 	status := a.corruptStatus(out.status)
 	ph.Solve = time.Since(t0)
@@ -592,20 +555,18 @@ func (a *Analyzer) verify(q Query) (*Result, *certState, error) {
 		// counters so campaign sums account for the work exactly once.
 		addPreprocessStats(&stats, entry.pre)
 	}
-	if entry != nil {
-		if st := entry.delta.Load(); st != nil {
-			// Feed this solve's learnt clauses back into the lineage's
-			// carryover stash (bounded to the snapshot's own variables so a
-			// budget-counter auxiliary never leaks across generations) and
-			// let the first query on an evolved snapshot claim the
-			// mutation's accounting.
-			st.harvest(enc, entry.harvestMax)
-		}
-		if ms, ok := entry.claimDelta(); ok {
-			ph.DeltaReuse += ms.DeltaReuse
-			ph.DeltaReencoded += ms.DeltaReencoded
-			ph.CarriedLearnts += ms.CarriedLearnts
-		}
+	if st := entry.delta.Load(); st != nil {
+		// Feed this solve's learnt clauses back into the lineage's
+		// carryover stash (bounded to the snapshot's own variables so a
+		// budget-counter auxiliary never leaks across generations) and
+		// let the first query on an evolved snapshot claim the
+		// mutation's accounting.
+		st.harvest(enc, entry.harvestMax)
+	}
+	if ms, ok := entry.claimDelta(); ok {
+		ph.DeltaReuse += ms.DeltaReuse
+		ph.DeltaReencoded += ms.DeltaReencoded
+		ph.CarriedLearnts += ms.CarriedLearnts
 	}
 	sp.Annotate(obs.A("status", status.String()), obs.A("conflicts", stats.Conflicts),
 		obs.A("attempts", out.attempts))
@@ -634,8 +595,8 @@ func (a *Analyzer) verify(q Query) (*Result, *certState, error) {
 	if cert != nil {
 		qs.SetPhase("certify")
 		sp = qspan.Start("certify")
-		// On a snapshot the budget was assumed, not asserted, so an Unsat
-		// is certified by RUP-ness of its negated budget literal.
+		// The budget was assumed, not asserted, so an Unsat is certified
+		// by RUP-ness of its negated budget literal.
 		var alits []sat.Lit
 		if status == sat.Unsat {
 			for _, f := range assumptions {
@@ -733,9 +694,8 @@ func (a *Analyzer) disarmProgress(enc *logic.Encoder) {
 }
 
 // recordMetrics aggregates one finished verification into the metrics
-// registry. Result.Stats is per-solve for both the fresh-encoder path
-// (Verify) and the incremental path (Sweep, which stores deltas), so
-// the solver counters stay attributable to individual queries.
+// registry. Result.Stats is the query's own solve on its private clone,
+// so the solver counters stay attributable to individual queries.
 func (a *Analyzer) recordMetrics(res *Result) {
 	m := a.metrics
 	if m == nil {
@@ -789,11 +749,14 @@ func pairVar(id scadanet.LinkID) *logic.Formula { return logic.Vf("Pair_%d", id)
 // link (secured properties only).
 func secVar(id scadanet.LinkID) *logic.Formula { return logic.Vf("Sec_%d", id) }
 
-// encode builds the full SMT-style model of the query: configuration
-// constraints, the delivery/observability definitions, the failure
-// budget, and the negated property as the goal.
-func (a *Analyzer) encode(q Query) *logic.Encoder {
-	enc, delivered := a.encodeStructure(q)
+// encode builds the full SMT-style model of the query from scratch:
+// configuration constraints, the delivery/observability definitions,
+// the failure budget, and the negated property as the goal, with proof
+// (nil: none) armed from the first clause. No query solves on it;
+// certification's quarantine re-solves on it, because it shares
+// nothing with the cache or preprocessing.
+func (a *Analyzer) encode(q Query, proof sat.ProofWriter) *logic.Encoder {
+	enc, delivered := a.encodeStructure(q, proof)
 	enc.Assert(a.budgetFormula(q))
 	enc.Assert(a.violationFormula(q, delivered))
 	return enc
@@ -804,10 +767,15 @@ func (a *Analyzer) encode(q Query) *logic.Encoder {
 // the encoder together with the per-measurement delivered terms. Only
 // the property family (plain vs secured) and the link budget of q are
 // consulted; the failure budget and the goal are NOT asserted, which is
-// what lets Sweep reuse one structural encoding across a whole k-sweep.
-func (a *Analyzer) encodeStructure(q Query) (*logic.Encoder, []*logic.Formula) {
+// what lets one snapshot serve every budget. A non-nil proof is armed on
+// the fresh solver before any clause is asserted: logic.Encoder encodes
+// eagerly, so a later hook would miss input clauses.
+func (a *Analyzer) encodeStructure(q Query, proof sat.ProofWriter) (*logic.Encoder, []*logic.Formula) {
 	asserted, delivered := a.structureFormulas(q)
-	enc := a.newEncoder()
+	enc := logic.NewEncoder()
+	if proof != nil {
+		enc.Solver().SetProofHook(proof)
+	}
 	for _, f := range asserted {
 		enc.Assert(f)
 	}

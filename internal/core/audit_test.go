@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -11,10 +10,7 @@ import (
 	"scadaver/internal/core"
 	"scadaver/internal/experiments"
 	"scadaver/internal/logic"
-	"scadaver/internal/powergrid"
 	"scadaver/internal/sat"
-	"scadaver/internal/scadanet"
-	"scadaver/internal/synth"
 )
 
 // TestAuditEvalMatchesPristineSolve holds the Sat audit's model check
@@ -26,28 +22,12 @@ import (
 // plain snapshot and from a delta snapshot — and on seeded random full
 // assignments of the query's variables drawn around such a model.
 func TestAuditEvalMatchesPristineSolve(t *testing.T) {
-	f, err := os.Open("../../testdata/case5bus.scada")
-	if err != nil {
-		t.Fatal(err)
-	}
-	case5, err := scadanet.ParseConfig(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ieee14, err := synth.Generate(synth.Params{Bus: powergrid.IEEE14(), Seed: 41, Hierarchy: 2, SecureFraction: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	shapes := append(experiments.SweepQueries(2), core.DeltaQueries()...)
 	assignments := 200
 	if testing.Short() {
 		assignments = 40
 	}
-	for _, sys := range []struct {
-		name string
-		cfg  *scadanet.Config
-	}{{"case5", case5}, {"ieee14", ieee14}} {
+	for _, sys := range case5AndIEEE14(t) {
 		t.Run(sys.name, func(t *testing.T) {
 			ref, err := core.NewAnalyzer(sys.cfg)
 			if err != nil {

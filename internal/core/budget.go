@@ -142,8 +142,8 @@ type solveOutcome struct {
 // drops interrupted queries.
 //
 // The solver's budget/interrupt/hook state is reset afterwards so a
-// shared solver (Sweep, enumeration) never leaks one query's deadline
-// into the next.
+// solver that solves again (enumeration) never leaks one solve's
+// deadline into the next.
 func (a *Analyzer) solveBudgeted(q Query, enc *logic.Encoder, solveSpan *obs.Span, assumptions ...*logic.Formula) solveOutcome {
 	s := enc.Solver()
 	deadline := a.budget.Deadline

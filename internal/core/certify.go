@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scadaver/internal/logic"
+	"scadaver/internal/obs"
 	"scadaver/internal/sat"
 	"scadaver/internal/sat/drat"
 	"scadaver/internal/scadanet"
@@ -14,17 +15,14 @@ import (
 // analyzer carry its own evidence instead of being trusted on the
 // solver's word (DESIGN.md §15):
 //
-//   - The solve is proof-logged from the encoder's birth: every input
-//     clause and every derived addition — CDCL learning, preprocessing
-//     resolvents, strengthenings and failed literals included — is
-//     recorded, as the solver emits it, into a pointer-free log
-//     (drat.Log). Nothing is checked at solve time. An Unsat answer
-//     rests on the proof, so it replays the log into a DRAT-style
-//     checker (internal/sat/drat) and is accepted only if the checker
-//     certifies the refutation (the empty clause for asserted budgets,
-//     RUP-ness of the negated budget assumption for Sweep and for
-//     queries on a cached snapshot). Sat and Unsolved answers replay
-//     nothing.
+//   - The solve is proof-logged: every input clause and every derived
+//     addition — CDCL learning, preprocessing resolvents,
+//     strengthenings and failed literals included — is recorded, as the
+//     solver emits it, into a pointer-free log (drat.Log). Nothing is
+//     checked at solve time. An Unsat answer rests on the proof, so it
+//     replays the log into a DRAT-style checker (internal/sat/drat) and
+//     is accepted only if the checker certifies RUP-ness of the negated
+//     budget assumption. Sat and Unsolved answers replay nothing.
 //   - A Sat answer is audited twice: the reported threat vector must
 //     violate the property under the direct evaluator within its
 //     failure budget, and the solver's full named model must satisfy
@@ -33,23 +31,22 @@ import (
 //     strict evaluation, which refuses a model missing any of their
 //     variables.
 //   - Any divergence quarantines the query: one pristine re-solve with
-//     preprocessing and cache both disabled, itself certified the same
+//     preprocessing and cache both bypassed, itself certified the same
 //     way, whose verdict replaces the suspect one.
 //
-// With a plain encoding cache (WithEncodingCache), certification shares
-// the snapshot: the snapshot is built under proof logging, and its
-// derivation — structure, negated property and Simplify — is checked
-// once, eagerly, when it is built. Each query clones the snapshot and
-// logs only its own suffix: the budget's clauses and the search. An
-// Unsat query clones the snapshot's checker and checks that suffix and
-// RUP-ness of the negated budget assumption on the clone. Certified
-// snapshots are keyed apart from uncertified ones. A snapshot whose
-// checker rejected a step or accepted a RAT addition is not shared, and
-// its queries — like those of analyzers without a cache or on a
-// delta-aware cache (CacheWithDelta) — are proof-logged from clause one
-// of a fresh encoding, and an Unsat one replays the whole log into an
-// empty checker. Preprocessing stays on either way: it is
-// proof-logged, which is the point.
+// Certification shares the snapshot. A certifying analyzer takes the
+// monolithic certified snapshot on either cache layout — keyed apart
+// from uncertified ones, and never evolved by Mutate — built under
+// proof logging; its derivation — structure, negated property and
+// Simplify — is checked once, eagerly, when it is built. Each query
+// clones the snapshot and logs only its own suffix: the budget's
+// clauses and the search. An Unsat query clones the snapshot's checker
+// and checks that suffix and RUP-ness of the negated budget assumption
+// on the clone. A snapshot whose checker rejected a step or accepted a
+// RAT addition is not shared: its queries encode the same snapshot
+// privately, proof-logged from clause one, and an Unsat one replays the
+// whole log into an empty checker. Preprocessing stays on either way:
+// it is proof-logged, which is the point.
 // Threat enumeration (EnumerateThreats) is not certified — its blocking
 // clauses change the formula mid-stream; certify the individual
 // verdicts via Verify instead. Overhead is measured in EXPERIMENTS.md
@@ -58,31 +55,26 @@ func WithCertification(on bool) Option {
 	return func(a *Analyzer) { a.certify = on }
 }
 
-// certState is the certification context of one proof-logged solve, or
-// of a Sweep's shared solver across its budgets. The solver's proof
-// stream is recorded into log as the solver emits it and checked only
-// when a verdict rests on it: a Sat verdict is certified by its model
-// and an Unsolved one claims nothing, so only an Unsat verdict replays
-// the log (check). The first Unsat creates the checker — a fork of the
-// snapshot's prelude taken at that moment, or an empty checker on the
-// fresh path — and every Unsat drains the pending steps into it. Steps
-// logged during a Sweep's Sat budgets stay pending until the next Unsat
-// catches the checker up, so every step is still checked, in order.
+// certState is the certification context of one proof-logged query.
+// The solver's proof stream is recorded into log as the solver emits it
+// and checked only when a verdict rests on it: a Sat verdict is
+// certified by its model and an Unsolved one claims nothing, so only an
+// Unsat verdict replays the log, once (check), into a fork of the
+// snapshot's prelude or, when the snapshot shares none, an empty
+// checker.
 type certState struct {
-	prelude *drat.Checker // the snapshot's checked prelude (read-only); nil on the fresh path
+	prelude *drat.Checker // the snapshot's checked prelude (read-only); nil when it shares none
 	checker *drat.Checker // nil until an Unsat verdict needs it
 	log     drat.Log
 }
 
-// check catches the checker up with the logged proof, creating it on
-// first use, and returns it with the number of steps replayed.
+// check creates the checker, replays the logged proof into it, and
+// returns it with the number of steps replayed.
 func (c *certState) check() (*drat.Checker, int) {
-	if c.checker == nil {
-		if c.prelude != nil {
-			c.checker = c.prelude.Clone()
-		} else {
-			c.checker = drat.New()
-		}
+	if c.prelude != nil {
+		c.checker = c.prelude.Clone()
+	} else {
+		c.checker = drat.New()
 	}
 	return c.checker, c.log.Drain(c.checker)
 }
@@ -97,50 +89,25 @@ func (c *certState) proofClauses() uint64 {
 	return uint64(n)
 }
 
-// newEncoder builds the encoder for a structural encoding, arming the
-// pending proof sink — if certification installed one — on the fresh
-// solver before any clause is asserted. logic.Encoder encodes eagerly
-// (Assert adds clauses to the solver immediately), so the hook must be
-// in place at encoder birth or the proof would miss input clauses.
-func (a *Analyzer) newEncoder() *logic.Encoder {
-	enc := logic.NewEncoder()
-	if a.proofSink != nil {
-		enc.Solver().SetProofHook(a.proofSink)
-	}
-	return enc
-}
-
-// beginCertify starts a fresh certified solve: it creates the proof log
-// and installs it as the analyzer's pending proof sink, to be picked up
-// by the next newEncoder call. Returns nil when certification is off.
-func (a *Analyzer) beginCertify() *certState {
-	if !a.certify {
-		return nil
-	}
-	c := &certState{}
-	a.proofSink = a.proofWriter(&c.log)
-	return c
-}
-
-// forkCertify starts a certified solve on enc, a private clone of the
-// cached snapshot e: the snapshot's prelude checker checked the
-// derivation from the first clause through Simplify once, when the
-// snapshot was built, so this query logs only its own suffix — the
-// budget's clauses, the search, and the refutation of the budget
-// assumption — and an Unsat verdict checks that suffix on a clone of the
-// prelude. Refuting the prelude's database under the budget refutes the
-// query, because every prelude step was RUP or a deletion and so the
-// database is implied by the snapshot's input formula. Returns nil when
-// the snapshot shares no prelude (its checker rejected a step or
-// accepted a RAT addition); the caller then takes the fresh certified
-// path.
-func (a *Analyzer) forkCertify(e *encodingEntry, enc *logic.Encoder) *certState {
-	if e.prelude == nil {
-		return nil
-	}
+// forkCertify starts the certified solve of q on enc, a private clone
+// of the certified snapshot e, and returns the encoder to solve on. The
+// snapshot's prelude checker checked the derivation from the first
+// clause through Simplify once, when the snapshot was built, so the
+// query logs only its own suffix — the budget's clauses, the search,
+// and the refutation of the budget assumption — and an Unsat verdict
+// checks that suffix on a clone of the prelude. Refuting the prelude's
+// database under the budget refutes the query, because every prelude
+// step was RUP or a deletion and so the database is implied by the
+// snapshot's input formula. A snapshot that shares no prelude is
+// encoded again privately, with the query's log armed from clause one.
+func (a *Analyzer) forkCertify(q Query, e *encodingEntry, enc *logic.Encoder, build *obs.Span, qs *obs.QueryState) (*logic.Encoder, *certState) {
 	c := &certState{prelude: e.prelude}
-	enc.Solver().SetProofHook(a.proofWriter(&c.log))
-	return c
+	w := a.proofWriter(&c.log)
+	if e.prelude == nil {
+		return a.encodeSnapshot(q, w, build, qs), c
+	}
+	enc.Solver().SetProofHook(w)
+	return enc, c
 }
 
 // proofWriter wraps a certification proof log in the fault plan's
@@ -210,8 +177,8 @@ func (a *Analyzer) corruptVector(v *ThreatVector) {
 // a Sat verdict against the direct evaluator and the query's formulas,
 // an Unsat one against its proof, replayed from the log into the
 // checker only now (res.ProofReplayed counts the steps). assumptions are
-// the solver literals the solve assumed (the budget counter for Sweep
-// and snapshots; empty when the budget was asserted): an
+// the solver literals the solve assumed (the budget's literal; empty
+// when the budget was asserted, as in quarantine): an
 // Unsat-under-assumptions answer is certified by RUP-ness of the negated
 // assumption clause rather than by the empty clause. Undecided verdicts
 // are not audited — there is no claim to certify.
@@ -327,9 +294,9 @@ func auditUnsat(ck *drat.Checker, assumptions []sat.Lit) error {
 }
 
 // quarantine handles a certification divergence: the suspect verdict is
-// discarded and the query re-solved from a pristine encoding —
-// preprocessing and cache both off, itself certified like any other
-// solve — whose verdict replaces the reported one. The
+// discarded and the query re-solved from a pristine encoding (encode) —
+// preprocessing and cache both bypassed, itself certified like any
+// other solve — whose verdict replaces the reported one. The
 // re-solve is bounded by the analyzer's conflict budget and interrupt
 // only; fault-injection hooks are deliberately not re-armed, so an
 // injected corruption cannot survive its own quarantine.
@@ -340,9 +307,7 @@ func (a *Analyzer) quarantine(q Query, res *Result, cause error) {
 	res.CertifyError = cause.Error()
 
 	cert := &certState{}
-	a.proofSink = &cert.log
-	enc := a.encode(q)
-	a.proofSink = nil
+	enc := a.encode(q, &cert.log)
 	s := enc.Solver()
 	s.SetConflictBudget(a.conflictBudget)
 	s.SetInterrupt(a.interrupt)

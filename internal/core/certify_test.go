@@ -345,8 +345,8 @@ func testCertifyCorruptedModel(t *testing.T, cached bool) {
 }
 
 // TestAuditSatRejectsBadModel drives the model half of the Sat audit
-// directly, on the Sat query of testCertifyCorruptedModel, uncached and
-// on the shared snapshot. The solver's model passes unchanged; a model
+// directly, on the Sat query of testCertifyCorruptedModel, on a private
+// cache and on a shared presimplified one. The solver's model passes unchanged; a model
 // that flips a pairing term against its configured value, flips a link
 // the query fixes up (KL = 0), or lacks a device's availability term
 // must be refused with a cause naming that variable.
@@ -410,10 +410,10 @@ func TestAuditSatRejectsBadModel(t *testing.T) {
 }
 
 // TestChaosCertifyDroppedProofStep truncates the proof stream of the
-// certified solve (every derived addition from the first one on is
-// lost, the closing empty clause included) and demands the unsat
-// verdict is refused, quarantined, and re-proved from a pristine
-// solve whose stream is intact.
+// certified solve on the analyzer's private cache (every derived
+// addition of the query's suffix from the first one on is lost) and
+// demands the unsat verdict is refused, quarantined, and re-proved from
+// a pristine solve whose stream is intact.
 func TestChaosCertifyDroppedProofStep(t *testing.T) { testCertifyDroppedProofStep(t, false) }
 
 // TestChaosCertifyCachedDroppedProofStep is TestChaosCertifyDroppedProofStep
@@ -455,9 +455,9 @@ func testCertifyDroppedProofStep(t *testing.T, cached bool) {
 }
 
 // certOptions returns a certified analyzer's options for one chaos leg:
-// the fresh path, or — cached — the shared-snapshot path
-// (WithEncodingCache + WithPresimplify). The cache is returned so the
-// test can confirm the query really ran on a shared prelude.
+// the analyzer's private cache, or — cached — a shared presimplified
+// cache (WithEncodingCache + WithPresimplify). The cache is returned so
+// the test can confirm the query really ran on a shared prelude.
 func certOptions(cached bool, extra ...Option) ([]Option, *EncodingCache) {
 	opts := append([]Option{WithCertification(true)}, extra...)
 	if !cached {
@@ -468,7 +468,8 @@ func certOptions(cached bool, extra ...Option) ([]Option, *EncodingCache) {
 }
 
 // requirePrelude fails the test unless c holds snapshots and every one
-// kept its prelude checker (a nil cache passes: the fresh path).
+// kept its prelude checker (a nil cache — the analyzer's private one —
+// passes).
 func requirePrelude(t *testing.T, c *EncodingCache) {
 	t.Helper()
 	if c == nil {
@@ -489,8 +490,8 @@ func requirePrelude(t *testing.T, c *EncodingCache) {
 // TestChaosCertifyCachedPreludeRefused covers the sharing guard: a
 // snapshot whose build checker rejected a step, or accepted a RAT
 // addition, is not shared for certification, and its queries still get
-// the correct certified verdict from the fresh certified path — not a
-// quarantine. The taints are applied to a copy of a real IEEE-14
+// the correct certified verdict from a private copy of the snapshot,
+// proof-logged from clause one — not a quarantine. The taints are applied to a copy of a real IEEE-14
 // prelude, on variables past the snapshot's own.
 func TestChaosCertifyCachedPreludeRefused(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)

@@ -37,13 +37,13 @@ func WithPresimplify(on bool) Option {
 }
 
 // WithEncodingCache shares a content-addressed cache of structural
-// encodings across analyzers. Verify, Sweep, and threat enumeration
-// then clone a ready (and, under WithPresimplify, pre-simplified)
-// solver snapshot instead of re-encoding the configuration per query;
-// only the per-query failure budget is encoded on the clone. The cache
-// is safe for concurrent use — Runner workers and service handlers
-// share one instance — and concurrent requests for the same snapshot
-// build it exactly once (per-entry singleflight).
+// encodings across analyzers; an analyzer built without it gets a
+// private cache. Every query — Verify, Sweep and threat enumeration —
+// clones a ready (and, under WithPresimplify, pre-simplified) solver
+// snapshot from the cache and encodes only its failure budget on the
+// clone. The cache is safe for concurrent use — Runner workers and
+// service handlers share one instance — and concurrent requests for
+// the same snapshot build it exactly once (per-entry singleflight).
 func WithEncodingCache(c *EncodingCache) Option {
 	return func(a *Analyzer) { a.cache = c }
 }
@@ -104,11 +104,11 @@ func CacheWithDelta() CacheOption {
 // the proof checker that watched the snapshot being built, from the
 // encoder's first clause through Simplify. It stays nil when the checker
 // rejected a step or accepted a RAT addition, and the snapshot's queries
-// then take the fresh certified path. In delta mode the entry
-// additionally carries its evolvable deltaState (atomically published;
-// cleared when a mutation moves the lineage to the successor
-// fingerprint's entry) and the harvest variable bound of the sealed
-// snapshot the entry serves.
+// then encode a private copy proof-logged from clause one. An
+// uncertified entry of a delta-aware cache also carries its evolvable
+// deltaState (atomically published; cleared when a mutation moves the
+// lineage to the successor fingerprint's entry) and the harvest
+// variable bound of the sealed snapshot the entry serves.
 type encodingEntry struct {
 	once    sync.Once
 	enc     *logic.Encoder
@@ -313,15 +313,6 @@ func (a *Analyzer) encodingKey(q Query, cert bool) (string, error) {
 	return key, nil
 }
 
-// usesSnapshots reports whether Verify and NewSweep start from a cache
-// snapshot. A certifying analyzer on a delta-aware cache does not: its
-// snapshots evolve under Mutate, and a prelude checker does not follow
-// them, so its queries take the fresh certified path. On a plain cache a
-// certifying analyzer uses certified snapshots (see snapshot).
-func (a *Analyzer) usesSnapshots() bool {
-	return a.cache != nil && !(a.certify && a.cache.delta)
-}
-
 // encodingFingerprint memoizes the analyzer's share of the cache key:
 // the configuration/policy/maxPaths fingerprint. Mutate uses it to pair
 // old- and new-configuration entries without a probe query.
@@ -342,12 +333,13 @@ func (a *Analyzer) encodingFingerprint() (string, error) {
 // the failure budget is not, so one snapshot serves every budget. The
 // bool reports whether this call built the entry — the building query
 // attributes the one-time preprocessing cost and counters; cache hits
-// get the snapshot for free. With cert, which only certifying analyzers
-// on a plain cache pass, the snapshot is built under proof logging and
-// keeps its prelude checker. The building query's one-off Simplify runs
-// in a "preprocess" child of its build span, with the query registry
-// showing the preprocess phase (nil build span and query state, as
-// callers outside a traced query pass, skip both).
+// get the snapshot for free. With cert, which certifying analyzers
+// pass, the snapshot is monolithic on either cache layout, built under
+// proof logging, and keeps its prelude checker; Mutate ignores it,
+// because it carries no delta state. The building query's one-off
+// Simplify runs in a "preprocess" child of its build span, with the
+// query registry showing the preprocess phase (nil build span and query
+// state, as callers outside a traced query pass, skip both).
 func (a *Analyzer) snapshot(q Query, cert bool, build *obs.Span, qs *obs.QueryState) (*logic.Encoder, bool, *encodingEntry, error) {
 	key, err := a.encodingKey(q, cert)
 	if err != nil {
@@ -357,14 +349,12 @@ func (a *Analyzer) snapshot(q Query, cert bool, build *obs.Span, qs *obs.QuerySt
 	built := false
 	e.once.Do(func() {
 		built = true
-		// Canonicalize to the structure-relevant fields so the snapshot is
-		// visibly independent of the device-failure budget.
-		probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
-		if a.cache.delta {
+		if a.cache.delta && !cert {
 			// Delta mode: build the guarded-group master and serve its
 			// sealed snapshot (see delta.go). Logically equivalent to the
 			// monolithic encoding over the named variables, but evolvable
 			// under EncodingCache.Mutate.
+			probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
 			st := a.buildDeltaState(probe, build, qs)
 			e.pre = st.sealed.Solver().Stats()
 			e.enc = st.sealed
@@ -373,16 +363,12 @@ func (a *Analyzer) snapshot(q Query, cert bool, build *obs.Span, qs *obs.QuerySt
 			return
 		}
 		var ck *drat.Checker
+		var proof sat.ProofWriter
 		if cert {
 			ck = drat.New()
-			a.proofSink = ck
+			proof = ck
 		}
-		enc, delivered := a.encodeStructure(probe)
-		a.proofSink = nil
-		enc.Assert(a.violationFormula(probe, delivered))
-		if a.presimplify {
-			preprocessSnapshot(enc, build, qs)
-		}
+		enc := a.encodeSnapshot(q, proof, build, qs)
 		if ck != nil {
 			enc.Solver().SetProofHook(nil)
 			e.prelude = sharedPrelude(ck)
@@ -391,6 +377,24 @@ func (a *Analyzer) snapshot(q Query, cert bool, build *obs.Span, qs *obs.QuerySt
 		e.enc = enc
 	})
 	return e.enc.Clone(), built, e, nil
+}
+
+// encodeSnapshot encodes the monolithic snapshot for q's structure —
+// configuration constraints, delivery definitions and the negated
+// property, canonicalized to the structure-relevant fields so it is
+// visibly independent of the device-failure budget — and simplifies it
+// under presimplify (see preprocessSnapshot). A non-nil proof is armed
+// on the solver from its first clause and stays armed. The cache builds
+// its snapshots with it, and a certified query whose snapshot shares no
+// prelude encodes a private copy with it (see forkCertify).
+func (a *Analyzer) encodeSnapshot(q Query, proof sat.ProofWriter, build *obs.Span, qs *obs.QueryState) *logic.Encoder {
+	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
+	enc, delivered := a.encodeStructure(probe, proof)
+	enc.Assert(a.violationFormula(probe, delivered))
+	if a.presimplify {
+		preprocessSnapshot(enc, build, qs)
+	}
+	return enc
 }
 
 // preprocessSnapshot runs a snapshot build's one-off Simplify inside a
@@ -443,23 +447,15 @@ func preprocessPhase(ph *PhaseTimes, pre sat.Stats) {
 }
 
 // enumEncoder returns the fully-asserted encoder backing one threat
-// enumeration: a cache clone plus the asserted budget when a cache is
-// configured, otherwise a fresh full encoding (preprocessed under
-// presimplify). Blocking clauses land on the returned encoder either
-// way, never on a shared snapshot. Enumeration is not certified, so it
-// takes the uncertified snapshot even on a certifying analyzer.
+// enumeration: a clone of the snapshot with the budget asserted.
+// Blocking clauses land on the clone, never on the shared snapshot.
+// Enumeration is not certified, so it takes the uncertified snapshot
+// even on a certifying analyzer.
 func (a *Analyzer) enumEncoder(q Query) (*logic.Encoder, error) {
-	if a.cache != nil {
-		enc, _, _, err := a.snapshot(q, false, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		enc.Assert(a.budgetFormula(q))
-		return enc, nil
+	enc, _, _, err := a.snapshot(q, false, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	enc := a.encode(q)
-	if a.presimplify {
-		enc.Simplify()
-	}
+	enc.Assert(a.budgetFormula(q))
 	return enc, nil
 }

@@ -13,7 +13,9 @@ import (
 )
 
 // cacheModes enumerates the four optimization configurations whose
-// externally visible behaviour must coincide.
+// externally visible behaviour must coincide with the cold reference
+// (ColdVerify, ColdEnumerate): a private or a shared cache, with and
+// without preprocessing.
 func cacheModes() []struct {
 	name string
 	opts func() []Option
@@ -22,7 +24,7 @@ func cacheModes() []struct {
 		name string
 		opts func() []Option
 	}{
-		{"baseline", func() []Option { return nil }},
+		{"private", func() []Option { return nil }},
 		{"cache", func() []Option { return []Option{WithEncodingCache(NewEncodingCache())} }},
 		{"presimplify", func() []Option { return []Option{WithPresimplify(true)} }},
 		{"cache+presimplify", func() []Option {
@@ -54,9 +56,9 @@ func sortedVectors(t *testing.T, vs []ThreatVector) string {
 
 // TestCacheAndPresimplifyPreserveVerdicts is the end-to-end equivalence
 // gate for the optimization pipeline: on synthetic IEEE-14 and IEEE-30
-// systems, every core property verdict must be identical with the
-// encoding cache and preprocessing on or off, across combined, split,
-// link-budget and bad-data queries.
+// systems, every core property verdict must equal the cold reference's
+// with a private or shared encoding cache and preprocessing on or off,
+// across combined, split, link-budget and bad-data queries.
 func TestCacheAndPresimplifyPreserveVerdicts(t *testing.T) {
 	systems := []struct {
 		name string
@@ -78,7 +80,14 @@ func TestCacheAndPresimplifyPreserveVerdicts(t *testing.T) {
 	}
 	for _, sys := range systems {
 		cfg := synthConfig(t, sys.bus, sys.seed, 2)
+		ref, err := NewAnalyzer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := make([]sat.Status, len(queries))
+		for i, q := range queries {
+			want[i] = ref.ColdVerify(q).Status
+		}
 		for _, mode := range cacheModes() {
 			a, err := NewAnalyzer(cfg, mode.opts()...)
 			if err != nil {
@@ -89,12 +98,8 @@ func TestCacheAndPresimplifyPreserveVerdicts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s %v: %v", sys.name, mode.name, q, err)
 				}
-				if mode.name == "baseline" {
-					want[i] = res.Status
-					continue
-				}
 				if res.Status != want[i] {
-					t.Errorf("%s/%s %v: status %v, baseline %v",
+					t.Errorf("%s/%s %v: status %v, cold %v",
 						sys.name, mode.name, q, res.Status, want[i])
 				}
 			}
@@ -103,8 +108,9 @@ func TestCacheAndPresimplifyPreserveVerdicts(t *testing.T) {
 }
 
 // TestCacheAndPresimplifyPreserveEnumeration: the full minimal
-// threat-vector set (an order-independent antichain) must be identical
-// across all optimization modes, byte for byte after canonical sorting.
+// threat-vector set (an order-independent antichain) must equal the
+// cold reference's in every optimization mode, byte for byte after
+// canonical sorting.
 func TestCacheAndPresimplifyPreserveEnumeration(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 7, 2)
 	queries := []Query{
@@ -112,8 +118,12 @@ func TestCacheAndPresimplifyPreserveEnumeration(t *testing.T) {
 		{Property: SecuredObservability, K1: 1, K2: 1},
 		{Property: BadDataDetectability, Combined: true, K: 1, R: 1},
 	}
+	ref, err := NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range queries {
-		want := ""
+		want := sortedVectors(t, ref.ColdEnumerate(q))
 		for _, mode := range cacheModes() {
 			a, err := NewAnalyzer(cfg, mode.opts()...)
 			if err != nil {
@@ -123,31 +133,27 @@ func TestCacheAndPresimplifyPreserveEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", mode.name, q, err)
 			}
-			got := sortedVectors(t, vs)
-			if mode.name == "baseline" {
-				want = got
-				continue
-			}
-			if got != want {
+			if got := sortedVectors(t, vs); got != want {
 				t.Errorf("%s %v: threat set diverged\n got %s\nwant %s", mode.name, q, got, want)
 			}
 		}
 	}
 }
 
-// TestCacheSweepAgreesWithVerify: resiliency boundaries computed on the
-// sweep fast path must not move under caching/preprocessing.
+// TestCacheSweepAgreesWithVerify: resiliency boundaries computed by the
+// galloping search must not move under caching/preprocessing: each
+// equals the largest budget the cold reference proves resilient.
 func TestCacheSweepAgreesWithVerify(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 19, 2)
-	base, err := NewAnalyzer(cfg)
+	ref, err := NewAnalyzer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.MaxResiliencyCombined(SecuredObservability, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := -1
+	for ref.ColdVerify(Query{Property: SecuredObservability, Combined: true, K: want + 1}).Status == sat.Unsat {
+		want++
 	}
-	for _, mode := range cacheModes()[1:] {
+	for _, mode := range cacheModes() {
 		a, err := NewAnalyzer(cfg, mode.opts()...)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +163,7 @@ func TestCacheSweepAgreesWithVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s: max resiliency %d, baseline %d", mode.name, got, want)
+			t.Errorf("%s: max resiliency %d, cold %d", mode.name, got, want)
 		}
 	}
 }
@@ -221,7 +227,7 @@ func TestEncodingCacheSingleflight(t *testing.T) {
 }
 
 // TestCacheRunnerEquivalence: a parallel campaign over a shared cache
-// reproduces, index by index, the serial uncached results' statuses on
+// reproduces, index by index, the cold reference's statuses on
 // the repo's standard campaign query mix.
 func TestCacheRunnerEquivalence(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
@@ -233,9 +239,7 @@ func TestCacheRunnerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		if serial[i], err = a.Verify(q); err != nil {
-			t.Fatal(err)
-		}
+		serial[i] = a.ColdVerify(q)
 	}
 
 	cache := NewEncodingCache()
@@ -246,7 +250,7 @@ func TestCacheRunnerEquivalence(t *testing.T) {
 	}
 	for i := range queries {
 		if parallel[i].Status != serial[i].Status {
-			t.Errorf("query %v: parallel cached %v, serial %v",
+			t.Errorf("query %v: parallel cached %v, cold %v",
 				queries[i], parallel[i].Status, serial[i].Status)
 		}
 	}

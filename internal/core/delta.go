@@ -303,7 +303,7 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 func (a *Analyzer) buildDeltaState(probe Query, build *obs.Span, qs *obs.QueryState) *deltaState {
 	st := &deltaState{
 		probe:     probe,
-		master:    a.newEncoder(),
+		master:    logic.NewEncoder(),
 		groups:    make(map[string]*deltaGroup),
 		stashSeen: make(map[string]bool),
 		presimp:   a.presimplify,

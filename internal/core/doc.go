@@ -33,35 +33,33 @@
 //
 // # Pipeline
 //
-// A Verify call runs query → encode → solve → minimize: the negated
-// property and the budget are Tseitin-encoded (package logic) into the
-// CDCL solver (package sat); a model is decoded into a ThreatVector and
-// greedily minimized against the direct evaluator (eval.go), so every
-// reported vector is a minimal witness. EnumerateThreats extends the
-// pipeline with blocking clauses to walk the whole antichain of minimal
-// threat vectors.
+// Every query takes one path. The structure — configuration
+// constraints, delivery definitions and the negated property — is
+// Tseitin-encoded (package logic) once per (configuration, property, R,
+// KL) into a snapshot of the CDCL solver (package sat), held in an
+// EncodingCache and, under WithPresimplify, simplified with the decision
+// variables frozen. A Verify call clones that snapshot, puts the
+// failure budget on the private clone, solves, and decodes a model into
+// a ThreatVector, greedily minimized against the direct evaluator
+// (eval.go), so every reported vector is a minimal witness.
+// EnumerateThreats extends the pipeline with blocking clauses on its
+// clone to walk the whole antichain of minimal threat vectors.
 //
 // # Scaling the analysis
 //
-// Two engines accelerate campaigns over many queries:
-//
-//   - Sweep reuses one structural encoding across a failure-budget
-//     sweep, adding only the per-k one-sided counter and passing the
-//     budget as an assumption, so learned clauses and saved phases
-//     carry over (the fast path behind MaxResiliency and
-//     MaxResiliencyCombined).
+//   - The encoding cache (WithEncodingCache / NewEncodingCache) builds
+//     each snapshot once and hands every query a private sat.Clone;
+//     concurrent identical requests singleflight into one
+//     encode+simplify. An analyzer given no cache gets a private one,
+//     so its own queries still share their snapshots.
+//   - Sweep and MaxResiliency / MaxResiliencyCombined ask a family of
+//     budgets over one structure as Verify calls: each budget solves on
+//     a pristine clone, and the boundary search gallops up from k = 0.
 //   - Runner fans independent queries out over a pool of worker
 //     goroutines under the solver ownership rule — one Analyzer, and
-//     therefore one solver, per goroutine; only the read-only Config is
-//     shared — with deterministic, input-ordered results and
-//     context-based cancellation.
-//   - The encoding cache (WithEncodingCache / NewEncodingCache) builds
-//     each (structure, property) snapshot once, simplifies it with the
-//     decision variables frozen, and hands every query a private
-//     sat.Clone — concurrent identical requests singleflight into one
-//     encode+simplify. With the cache armed, MaxResiliencyCombined
-//     gallops up from k = 0 probing pristine clones instead of driving
-//     one accumulating incremental sweep solver.
+//     therefore one solver, per goroutine; only the read-only Config
+//     and the cache are shared — with deterministic, input-ordered
+//     results and context-based cancellation.
 //
 // Every Result carries the per-solve sat.Stats (decisions, conflicts,
 // propagations, learned clauses, solve time) of the query that produced

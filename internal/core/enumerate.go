@@ -183,11 +183,23 @@ func (a *Analyzer) CountThreats(q Query, max int) (int, error) {
 }
 
 // MaxResiliency computes the maximum k for which the system is
-// k-resilient for the property, scanning k upward from 0. varyIEDs /
-// varyRTUs select the failure class: (true,false) answers "how many IED
-// failures are tolerable with no RTU failures" (the paper's maximum
-// (k,0) form), and vice versa; (true,true) uses the combined budget.
-// The scan reuses one structural encoding across all k (see Sweep).
+// k-resilient for the property. varyIEDs / varyRTUs select the failure
+// class: (true,false) answers "how many IED failures are tolerable with
+// no RTU failures" (the paper's maximum (k,0) form), and vice versa;
+// (true,true) uses the combined budget (MaxResiliencyCombined).
+//
+// Resiliency is monotone — enlarging the failure budget only adds
+// candidate threat models — so the search gallops up from k = 0: unit
+// steps through the small budgets, where real boundaries sit and unit
+// steps bracket them with zero overshoot, then doubling until the
+// property breaks (the first Sat probe), then binary refinement inside
+// the bracketed octave. A plain binary search over [0, #devices] would
+// open with the most expensive cardinality encodings the instance can
+// ask for. Each probe is one Verify on a pristine clone of the shared
+// snapshot, so per-probe cost stays flat: a solver accumulating every
+// probed budget's cardinality clauses grows its watch lists until each
+// probe propagates several times slower than the same query on a fresh
+// clone (EXPERIMENTS.md §P3).
 func (a *Analyzer) MaxResiliency(p Property, r int, varyIEDs, varyRTUs bool) (int, error) {
 	if !varyIEDs && !varyRTUs {
 		return 0, fmt.Errorf("%w: nothing to vary", ErrBadQuery)
@@ -199,122 +211,64 @@ func (a *Analyzer) MaxResiliency(p Property, r int, varyIEDs, varyRTUs bool) (in
 	if varyRTUs {
 		limit += len(a.fieldRTUs)
 	}
-	sw, err := a.NewSweep(p, r, 0)
-	if err != nil {
-		return 0, err
-	}
-	maxK := -1
-	for k := 0; k <= limit; k++ {
-		var res *Result
-		var err error
+	resilient := func(k int) (bool, error) {
+		q := Query{Property: p, R: r}
 		switch {
 		case varyIEDs && varyRTUs:
-			res, err = sw.VerifyK(k)
+			q.Combined, q.K = true, k
 		case varyIEDs:
-			res, err = sw.VerifySplit(k, 0)
+			q.K1 = k
 		default:
-			res, err = sw.VerifySplit(0, k)
+			q.K2 = k
 		}
+		res, err := a.Verify(q)
+		if err != nil {
+			return false, err
+		}
+		return res.Status == sat.Unsat, nil
+	}
+	lo := -1 // largest k known resilient (-1: none yet)
+	hi := limit
+	for k := 0; k <= limit; {
+		ok, err := resilient(k)
 		if err != nil {
 			return 0, err
 		}
-		if res.Status != sat.Unsat {
+		if !ok {
+			hi = k - 1
 			break
 		}
-		maxK = k
-	}
-	return maxK, nil
-}
-
-// MaxResiliencyCombined computes the maximum combined budget k for
-// which the system is k-resilient for the property (resiliency is
-// monotone: enlarging the failure budget only adds candidate threat
-// models).
-//
-// With an encoding cache armed, each probe solves on a pristine clone
-// of the shared structural snapshot via Verify, and the search gallops
-// up from k = 0 (doubling, then binary refinement inside the bracketed
-// octave). Real boundaries sit at small k, so galloping probes only
-// small budgets — a plain binary search over [0, #devices] opens with
-// the most expensive cardinality encodings the instance can ask for.
-// Probing on clones also keeps per-probe cost flat: an incremental
-// sweep accumulates every probed budget's (selector-guarded) cardinality
-// clauses in one solver, and on IEEE-57-sized instances the watch lists
-// grow until each probe propagates several times slower than the same
-// query on a fresh clone.
-//
-// Without a cache the probes fall back to one incremental Sweep, whose
-// shared encoding is then built once instead of once per probe.
-func (a *Analyzer) MaxResiliencyCombined(p Property, r int) (int, error) {
-	limit := len(a.fieldIEDs) + len(a.fieldRTUs)
-	if a.cache != nil {
-		resilient := func(k int) (bool, error) {
-			res, err := a.Verify(Query{Property: p, Combined: true, K: k, R: r})
-			if err != nil {
-				return false, err
-			}
-			return res.Status == sat.Unsat, nil
+		lo = k
+		if k == limit {
+			return limit, nil
 		}
-		// Gallop: step k by one through the small budgets (real resiliency
-		// boundaries sit at k <= 3, where unit steps bracket the boundary
-		// with zero overshoot), then double until the property breaks
-		// (first sat probe).
-		lo := -1 // largest k known resilient (-1: none yet)
-		hi := limit
-		for k := 0; k <= limit; {
-			ok, err := resilient(k)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				hi = k - 1
-				break
-			}
-			lo = k
-			if k == limit {
-				return limit, nil
-			}
-			if k < 4 {
-				k++
-			} else {
-				k = min(2*k, limit)
-			}
+		if k < 4 {
+			k++
+		} else {
+			k = min(2*k, limit)
 		}
-		// Refine: largest unsat k inside (lo, hi].
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			ok, err := resilient(mid)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		return lo, nil
 	}
-	sw, err := a.NewSweep(p, r, 0)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := -1, limit
-	// Invariant: resilient at lo (or lo == -1), violated at hi+1
-	// conceptually; search the largest unsat k.
+	// Refine: largest unsat k inside (lo, hi].
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		res, err := sw.VerifyK(mid)
+		ok, err := resilient(mid)
 		if err != nil {
 			return 0, err
 		}
-		if res.Status == sat.Unsat {
+		if ok {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	return lo, nil
+}
+
+// MaxResiliencyCombined computes the maximum combined budget k for
+// which the system is k-resilient for the property: MaxResiliency over
+// IED and RTU failures together.
+func (a *Analyzer) MaxResiliencyCombined(p Property, r int) (int, error) {
+	return a.MaxResiliency(p, r, true, true)
 }
 
 // MinimalThreat returns a smallest-cardinality failure set violating

@@ -27,7 +27,7 @@ func (a *Analyzer) SnapshotEncoder(q Query) (*logic.Encoder, error) {
 // before any preprocessing.
 func (a *Analyzer) StructureEncoder(q Query) *logic.Encoder {
 	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
-	enc, delivered := a.encodeStructure(probe)
+	enc, delivered := a.encodeStructure(probe, nil)
 	enc.Assert(a.violationFormula(probe, delivered))
 	return enc
 }
@@ -46,43 +46,59 @@ func (a *Analyzer) SnapshotPrelude(q Query) (*drat.Checker, error) {
 // build for q feeds its prelude checker: the structural encoding, the
 // negated property and, under presimplify, the snapshot's Simplify.
 func (a *Analyzer) RecordPrelude(q Query, w sat.ProofWriter) {
-	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
-	a.proofSink = w
-	enc, delivered := a.encodeStructure(probe)
-	a.proofSink = nil
-	enc.Assert(a.violationFormula(probe, delivered))
-	if a.presimplify {
-		enc.Simplify()
-	}
-	enc.Solver().SetProofHook(nil)
+	a.encodeSnapshot(q, w, nil, nil).Solver().SetProofHook(nil)
 }
 
-// SatEncoder solves q on the encoder Verify would use — a clone of the
-// shared snapshot under the budget as an assumption when the analyzer
-// serves snapshots, else a fresh encoding, presimplified when
-// configured — and returns it with a Result carrying the minimized
-// threat vector, as the Sat audit receives them. Both are nil when q is
-// not Sat.
+// SatEncoder solves q on the encoder Verify uses — a clone of the
+// shared snapshot under the budget as an assumption — and returns it
+// with a Result carrying the minimized threat vector, as the Sat audit
+// receives them. Both are nil when q is not Sat.
 func (a *Analyzer) SatEncoder(q Query) (*logic.Encoder, *Result, error) {
-	var enc *logic.Encoder
-	var assumptions []*logic.Formula
-	if a.usesSnapshots() {
-		var err error
-		if enc, _, _, err = a.snapshot(q, a.certify, nil, nil); err != nil {
-			return nil, nil, err
-		}
-		assumptions = append(assumptions, a.budgetFormula(q))
-	} else {
-		enc = a.encode(q)
-		if a.presimplify {
-			enc.Simplify()
-		}
+	enc, _, _, err := a.snapshot(q, a.certify, nil, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	if enc.Solve(assumptions...) != sat.Sat {
+	if enc.Solve(a.budgetFormula(q)) != sat.Sat {
 		return nil, nil, nil
 	}
 	v := a.minimizeVector(q, a.extractVector(q, enc))
 	return enc, &Result{Query: q, Status: sat.Sat, Vector: &v}, nil
+}
+
+// ColdVerify is the independent reference the equivalence suites hold
+// Verify to: q solved on encode(q) — the pristine from-scratch encoding
+// quarantine re-solves on, sharing no snapshot, clone or preprocessing
+// with Verify — with its budget asserted, and a Sat model's vector
+// extracted and minimized as Verify does.
+func (a *Analyzer) ColdVerify(q Query) *Result {
+	enc := a.encode(q, nil)
+	res := &Result{Query: q, Status: enc.Solve()}
+	res.Stats = enc.Solver().Stats()
+	if res.Status == sat.Sat {
+		v := a.minimizeVector(q, a.extractVector(q, enc))
+		res.Vector = &v
+	}
+	return res
+}
+
+// ColdEnumerate is the independent reference for threat enumeration:
+// every minimal threat vector of q, enumerated on encode(q) as
+// EnumerateThreats enumerates on its snapshot clone.
+func (a *Analyzer) ColdEnumerate(q Query) []ThreatVector {
+	enc := a.encode(q, nil)
+	var out []ThreatVector
+	seen := map[string]bool{}
+	for enc.Solve() == sat.Sat {
+		v := a.minimizeVector(q, a.extractVector(q, enc))
+		if !seen[v.key()] {
+			seen[v.key()] = true
+			out = append(out, v)
+		}
+		if !blockVector(enc, v) {
+			break
+		}
+	}
+	return out
 }
 
 // AuditSat runs the Sat audit of a verdict reached on enc.
@@ -96,7 +112,7 @@ func (a *Analyzer) AuditModel(q Query, model logic.Model) error { return a.audit
 
 // PristineEncoding returns a fresh encoding of q — no preprocessing, no
 // cache, never solved — for pristineAudit.
-func (a *Analyzer) PristineEncoding(q Query) *logic.Encoder { return a.encode(q) }
+func (a *Analyzer) PristineEncoding(q Query) *logic.Encoder { return a.encode(q, nil) }
 
 // DeltaQueries is the query shape list of the delta-cache tests.
 func DeltaQueries() []Query { return deltaQueries() }
@@ -112,120 +128,49 @@ func (a *Analyzer) VerifyChecked(q Query) (*Result, *drat.Checker, error) {
 	return res, cert.checker, err
 }
 
-// Checker returns a certified sweep's checker: nil until an Unsat budget
-// replayed the proof into one.
-func (s *Sweep) Checker() *drat.Checker {
-	if s.cert == nil {
-		return nil
-	}
-	return s.cert.checker
-}
-
-// OnlineSweep is the reference the replayed certification is held to:
-// certification as it was before proofs were logged, with a checker
+// OnlineVerify is the reference the replayed certification is held to:
+// Verify certified as it was before proofs were logged, with a checker
 // armed as the solver's proof hook and so fed every step at solve time,
-// Sat searches included. NewOnlineSweep encodes as NewSweep does and
-// Verify solves a budget on that encoding as Sweep.VerifyK and
-// Sweep.VerifySplit do, so on an analyzer without faults the search, the
-// proof stream and the verdicts are those of the replayed path.
-type OnlineSweep struct {
-	a   *Analyzer
-	enc *logic.Encoder
-	ck  *drat.Checker
-}
-
-// NewOnlineSweep is NewSweep with an online checker: a clone of the
-// certified snapshot's prelude armed on the snapshot's clone, or, when
-// the snapshot shares none or the analyzer serves no snapshots, an empty
-// checker armed from the first clause of a fresh encoding.
-func (a *Analyzer) NewOnlineSweep(p Property, r, kl int) (*OnlineSweep, error) {
-	probe := Query{Property: p, Combined: true, R: r, KL: kl}
-	if s, err := a.onlineFork(probe); s != nil || err != nil {
-		return s, err
-	}
-	ck := drat.New()
-	a.proofSink = ck
-	enc, delivered := a.encodeStructure(probe)
-	a.proofSink = nil
-	enc.Assert(a.violationFormula(probe, delivered))
-	if a.presimplify {
-		enc.Simplify()
-	}
-	return &OnlineSweep{a: a, enc: enc, ck: ck}, nil
-}
-
-// onlineFork arms a clone of q's certified snapshot with a clone of its
-// prelude checker, as Verify's cached path forks them; nil when the
-// analyzer serves no snapshots or the snapshot shares no prelude.
-func (a *Analyzer) onlineFork(q Query) (*OnlineSweep, error) {
-	if !a.usesSnapshots() {
-		return nil, nil
-	}
-	enc, _, e, err := a.snapshot(q, true, nil, nil)
-	if err != nil || e.prelude == nil {
-		return nil, err
-	}
-	ck := e.prelude.Clone()
-	enc.Solver().SetProofHook(ck)
-	return &OnlineSweep{a: a, enc: enc, ck: ck}, nil
-}
-
-// OnlineVerify is Verify certified against an online checker: the budget
-// assumed on a forked snapshot, as Verify's cached path solves it, or
-// asserted on a fresh proof-logged encoding, as its uncached path does.
-// It returns the result and the checker.
+// Sat searches included. The budget is assumed on a clone of q's
+// certified snapshot armed with a clone of its prelude checker, as
+// Verify forks them, or, when the snapshot shares none, on a private
+// copy of the snapshot armed with an empty checker from its first
+// clause. On an analyzer without faults the search, the proof stream
+// and the verdict are those of Verify. It returns the result and the
+// checker.
 func (a *Analyzer) OnlineVerify(q Query) (*Result, *drat.Checker, error) {
-	s, err := a.onlineFork(q)
+	enc, _, e, err := a.snapshot(q, true, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if s != nil {
-		res, ck := s.Verify(q)
-		return res, ck, nil
+	var ck *drat.Checker
+	if e.prelude != nil {
+		ck = e.prelude.Clone()
+		enc.Solver().SetProofHook(ck)
+	} else {
+		ck = drat.New()
+		enc = a.encodeSnapshot(q, ck, nil, nil)
 	}
-	ck := drat.New()
-	a.proofSink = ck
-	enc := a.encode(q)
-	a.proofSink = nil
-	if a.presimplify {
-		enc.Simplify()
-	}
-	s = &OnlineSweep{a: a, enc: enc, ck: ck}
-	return s.solve(q, nil), ck, nil
+	return a.solveOnline(q, enc, ck), ck, nil
 }
 
-// Verify solves q with its failure budget as an assumption and
-// certifies the verdict against the online checker, returning the
-// result and the checker.
-func (s *OnlineSweep) Verify(q Query) (*Result, *drat.Checker) {
-	return s.solve(q, s.a.budgetFormula(q)), s.ck
-}
-
-// solve solves the sweep's encoding under budget (nil: none to assume)
-// and certifies the verdict as certification did before proofs were
-// logged: ProofClauses is the online checker's addition count, a Sat
-// verdict is audited as Verify audits it, an Unsat one against the
-// checker as it stands, and a divergence is quarantined.
-func (s *OnlineSweep) solve(q Query, budget *logic.Formula) *Result {
-	a := s.a
-	var assumptions []*logic.Formula
-	if budget != nil {
-		assumptions = append(assumptions, budget)
-	}
-	out := a.solveBudgeted(q, s.enc, nil, assumptions...)
-	res := &Result{Query: q, Status: a.corruptStatus(out.status), ProofClauses: uint64(s.ck.Additions())}
+// solveOnline solves q's budget as an assumption on enc and certifies
+// the verdict as certification did before proofs were logged:
+// ProofClauses is the online checker's addition count, a Sat verdict is
+// audited as Verify audits it, an Unsat one against the checker as it
+// stands, and a divergence is quarantined.
+func (a *Analyzer) solveOnline(q Query, enc *logic.Encoder, ck *drat.Checker) *Result {
+	budget := a.budgetFormula(q)
+	out := a.solveBudgeted(q, enc, nil, budget)
+	res := &Result{Query: q, Status: a.corruptStatus(out.status), ProofClauses: uint64(ck.Additions())}
 	var err error
 	switch res.Status {
 	case sat.Sat:
-		v := a.minimizeVector(q, a.extractVector(q, s.enc))
+		v := a.minimizeVector(q, a.extractVector(q, enc))
 		res.Vector = &v
-		err = a.auditSat(q, s.enc.Model(), res)
+		err = a.auditSat(q, enc.Model(), res)
 	case sat.Unsat:
-		var alits []sat.Lit
-		for _, f := range assumptions {
-			alits = append(alits, s.enc.Implying(f))
-		}
-		err = auditUnsat(s.ck, alits)
+		err = auditUnsat(ck, []sat.Lit{enc.Implying(budget)})
 	default:
 		return res
 	}
@@ -235,4 +180,19 @@ func (s *OnlineSweep) solve(q Query, budget *logic.Formula) *Result {
 		res.Certified = true
 	}
 	return res
+}
+
+// EntryState is what tests inspect of one cache entry: whether it keeps
+// a shared prelude checker and whether it carries evolvable delta state.
+type EntryState struct{ Prelude, Delta bool }
+
+// Entries returns the state of every entry in the cache, by key.
+func (c *EncodingCache) Entries() map[string]EntryState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]EntryState, len(c.entries))
+	for key, e := range c.entries {
+		out[key] = EntryState{Prelude: e.prelude != nil, Delta: e.delta.Load() != nil}
+	}
+	return out
 }

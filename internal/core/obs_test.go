@@ -192,6 +192,22 @@ func TestTraceCancelledSolveClosesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := Query{Property: SecuredObservability, Combined: true, K: 1}
+	// The solver polls the interrupt hook once per 256 search-loop
+	// iterations (one per decision or conflict), so the query must search
+	// past the first poll or it decides before the hook is ever asked.
+	free, err := NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uninterrupted, err := free.Verify(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := uninterrupted.Stats.Decisions + uninterrupted.Stats.Conflicts; n < 256 {
+		t.Fatalf("precondition: %v decides in %d search iterations, under the 256-iteration interrupt poll; pick a harder query", q, n)
+	}
+
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
 	root := tracer.Start("cancelled-run")
@@ -201,7 +217,7 @@ func TestTraceCancelledSolveClosesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Verify(Query{Property: SecuredObservability, Combined: true, K: 2})
+	res, err := a.Verify(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +238,8 @@ func TestTraceCancelledSolveClosesSpans(t *testing.T) {
 	}
 }
 
-// TestSweepTraceAndMetrics checks the incremental path: sweep queries
-// produce query spans with encode/solve children and per-solve metric
-// deltas, all under one shared solver.
+// TestSweepTraceAndMetrics checks the sweep: its queries produce query
+// spans with encode/solve children and per-solve metrics.
 func TestSweepTraceAndMetrics(t *testing.T) {
 	cfg, err := scadanet.CaseStudyConfig(false)
 	if err != nil {

@@ -148,27 +148,23 @@ func (r *Runner) verifyTask(ctx context.Context, cfg *scadanet.Config, queries [
 // VerifyAllCollect.
 func (r *Runner) VerifyAll(ctx context.Context, cfg *scadanet.Config, queries []Query) ([]*Result, error) {
 	results := make([]*Result, len(queries))
-	err := r.runEach(ctx, r.dispatchOrder(queries, nil), func(ctx context.Context) (func(i int) error, error) {
+	err := r.runEach(ctx, dispatchOrder(queries, nil), func(ctx context.Context) (func(i int) error, error) {
 		return r.verifyTask(ctx, cfg, queries, func(i int, res *Result) { results[i] = res })
 	}, nil)
 	return results, err
 }
 
 // dispatchOrder is the order in which a campaign hands queries to its
-// workers. Without snapshots it is the input order. With them, the
-// first pending query of every snapshot (one per property, R and KL,
-// the structural fields encodingKey covers) goes first, in input order,
-// and the rest follow in input order. A query whose snapshot another
+// workers: the first pending query of every snapshot (one per
+// property, R and KL, the structural fields encodingKey covers) goes
+// first, in input order, and the rest follow in input order. A query whose snapshot another
 // worker is still building waits for that build, so leading with one
 // query per snapshot lets the workers build distinct snapshots side by
 // side instead of queueing behind one; the pool's wall time then no
 // longer depends on where in the input each snapshot's first query
 // sits. Queries with done[i] set (nil: none) are skipped when picking
-// the leaders. Results are indexed like the input either way.
-func (r *Runner) dispatchOrder(queries []Query, done []bool) []int {
-	if !r.probe().usesSnapshots() {
-		return inputOrder(len(queries))
-	}
+// the leaders. Results are indexed like the input.
+func dispatchOrder(queries []Query, done []bool) []int {
 	order := make([]int, 0, len(queries))
 	type group struct{ prop, r, kl int }
 	seen := make(map[group]bool)
@@ -233,7 +229,7 @@ func (r *Runner) VerifyAllResumable(ctx context.Context, cfg *scadanet.Config, q
 		done[e.Index] = true
 	}
 	metrics := r.probe().metrics
-	err := r.runEach(ctx, r.dispatchOrder(queries, done), func(ctx context.Context) (func(i int) error, error) {
+	err := r.runEach(ctx, dispatchOrder(queries, done), func(ctx context.Context) (func(i int) error, error) {
 		task, err := r.verifyTask(ctx, cfg, queries, func(i int, res *Result) {
 			outcomes[i].Result = res
 			if cerr := ck.Add(campaignEntry{Index: i, Result: res}); cerr != nil {

@@ -192,11 +192,9 @@ func TestRunnerRunEach(t *testing.T) {
 	}
 }
 
-// TestDispatchOrderLeadsWithSnapshots: a cached campaign dispatches the
-// first pending query of every snapshot (property, R, KL) before any
-// other, then the rest in input order; without a cache, and for
-// certifying analyzers on a delta cache (which build no snapshots), the
-// order is the input order.
+// TestDispatchOrderLeadsWithSnapshots: a campaign dispatches the first
+// pending query of every snapshot (property, R, KL) before any other,
+// then the rest in input order.
 func TestDispatchOrderLeadsWithSnapshots(t *testing.T) {
 	obs0 := Query{Property: Observability, Combined: true, K: 0}
 	obs1 := Query{Property: Observability, Combined: true, K: 1}
@@ -206,20 +204,16 @@ func TestDispatchOrderLeadsWithSnapshots(t *testing.T) {
 	bad := Query{Property: BadDataDetectability, Combined: true, K: 1, R: 1}
 	queries := []Query{obs0, obs1, split, links, sec, obs1, bad, sec}
 
-	cached := NewRunner(2, WithEncodingCache(NewEncodingCache()))
 	cases := []struct {
 		name string
-		r    *Runner
 		done []bool
 		want []int
 	}{
-		{"uncached", NewRunner(2), nil, []int{0, 1, 2, 3, 4, 5, 6, 7}},
-		{"cached", cached, nil, []int{0, 3, 4, 6, 1, 2, 5, 7}},
-		{"cached resumed", cached, []bool{true, false, false, false, true, false, false, false}, []int{1, 3, 6, 7, 0, 2, 4, 5}},
-		{"certified delta", NewRunner(2, WithEncodingCache(NewEncodingCache(CacheWithDelta())), WithCertification(true)), nil, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"fresh", nil, []int{0, 3, 4, 6, 1, 2, 5, 7}},
+		{"resumed", []bool{true, false, false, false, true, false, false, false}, []int{1, 3, 6, 7, 0, 2, 4, 5}},
 	}
 	for _, c := range cases {
-		if got := c.r.dispatchOrder(queries, c.done); fmt.Sprint(got) != fmt.Sprint(c.want) {
+		if got := dispatchOrder(queries, c.done); fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s: order %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -77,17 +77,13 @@ type Options struct {
 	// (core.WithPresimplify); combined with the encoding cache the cost
 	// is paid once per structure.
 	Presimplify bool
-	// NoCache disables the per-campaign encoding cache; every
-	// verification then re-encodes its structure from scratch (the
-	// pre-optimization behaviour, kept for A/B measurements).
-	NoCache bool
 	// Certify arms verdict certification in every campaign analyzer
 	// (core.WithCertification): proof-logged solves checked in-process,
 	// audited sat models, quarantine on divergence. The §R3 overhead
 	// ablation toggles this knob.
 	Certify bool
 	// Cache is the campaign's shared encoding cache; withDefaults
-	// creates one unless NoCache is set, and all workers clone from it.
+	// creates one, and all workers clone from it.
 	Cache *core.EncodingCache
 }
 
@@ -138,7 +134,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxK <= 0 {
 		o.MaxK = 4
 	}
-	if o.Cache == nil && !o.NoCache {
+	if o.Cache == nil {
 		o.Cache = core.NewEncodingCache()
 	}
 	return o

@@ -47,8 +47,9 @@ func (r *MutationStormResult) Speedup() float64 {
 // incremental leg warms one delta-aware cache on the initial structure,
 // then per step pays only Config.Apply + EncodingCache.Mutate (the
 // dirty cone re-encodes, everything else survives) + the solve; the
-// cold leg re-encodes the mutated structure from scratch per step,
-// which is what every verification did before the delta cache existed.
+// cold leg builds a fresh analyzer per step, which encodes (and, under
+// presimplify, simplifies) the mutated structure from scratch into its
+// private cache before solving on a clone.
 func MutationStorm(busName string, steps int, opt Options) (*MutationStormResult, error) {
 	if steps <= 0 {
 		steps = 10
@@ -81,13 +82,13 @@ func MutationStorm(busName string, steps int, opt Options) (*MutationStormResult
 
 	incOpt := opt
 	incOpt.Cache = cache
-	incOpt.NoCache = false
 	incOpt.Metrics = res.IncReg
 	incOpts := incOpt.CoreOptions()
 
+	// Without a cache option every cold analyzer gets a private cache,
+	// so each step encodes the mutated structure from scratch.
 	coldOpt := opt
 	coldOpt.Cache = nil
-	coldOpt.NoCache = true
 	coldOpt.Metrics = res.ColdReg
 	coldOpts := coldOpt.CoreOptions()
 

@@ -52,9 +52,8 @@
 // Stats exposes per-solver counters — decisions, conflicts,
 // propagations, learned clauses, restarts, plus the number of Solve
 // calls and their cumulative wall time. Counters accumulate across
-// incremental Solve calls; Stats.Sub produces the per-solve delta, which
-// is how the verifier attributes effort to individual queries on a
-// reused solver. Two hooks bound a solve: SetConflictBudget limits a
+// incremental Solve calls; the verifier attributes effort to individual
+// queries by giving each query a solver of its own. Two hooks bound a solve: SetConflictBudget limits a
 // single Solve call to a number of conflicts, and SetInterrupt installs
 // a cooperative cancellation callback polled every few hundred search
 // steps — both make the solver return Unsolved rather than block

@@ -53,80 +53,25 @@ func TestStatsSolvesAndSolveTime(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
-	s := New()
-	php(t, s, 4, 3)
-	if s.Solve() != Unsat {
-		t.Fatal("want unsat")
-	}
-	mid := s.Stats()
-	if mid.Conflicts == 0 {
-		t.Fatal("PHP(4,3) should conflict at least once")
-	}
-	// A solver that is already root-unsat answers again without search.
-	if s.Solve() != Unsat {
-		t.Fatal("want unsat again")
-	}
-	delta := s.Stats().Sub(mid)
-	if delta.Conflicts != 0 || delta.Decisions != 0 {
-		t.Fatalf("re-answering an unsat root did extra work: %+v", delta)
-	}
-	if delta.Solves != 1 {
-		t.Fatalf("Solves delta = %d, want 1", delta.Solves)
-	}
-	if delta.MaxVars != mid.MaxVars {
-		t.Fatalf("Sub must keep absolute MaxVars, got %d want %d", delta.MaxVars, mid.MaxVars)
-	}
-}
-
 // TestStatsCountersComplete is the round-trip guard for Stats: every
-// field — including ones added later — must survive Sub (as a delta for
-// cumulative counters, as the current value for the absolute instance-
-// size fields) and must be rendered by String. It works by reflection
-// so a newly added counter that is forgotten in Sub or String fails
-// here instead of silently producing incomplete per-solve deltas.
+// field — including ones added later — must be rendered by String. It
+// works by reflection so a newly added counter that is forgotten in
+// String fails here instead of silently going unreported.
 func TestStatsCountersComplete(t *testing.T) {
-	var big, small Stats
+	var big Stats
 	bv := reflect.ValueOf(&big).Elem()
-	sv := reflect.ValueOf(&small).Elem()
 	tp := reflect.TypeOf(big)
 	for i := 0; i < bv.NumField(); i++ {
 		switch bv.Field(i).Kind() {
 		case reflect.Uint64:
 			bv.Field(i).SetUint(uint64(1000 + 111*i))
-			sv.Field(i).SetUint(uint64(100 + i))
 		case reflect.Int64: // time.Duration
 			bv.Field(i).SetInt(int64(time.Duration(1000+111*i) * time.Millisecond))
-			sv.Field(i).SetInt(int64(time.Duration(100+i) * time.Millisecond))
 		case reflect.Int: // absolute instance-size fields
 			bv.Field(i).SetInt(int64(1000 + 111*i))
-			sv.Field(i).SetInt(int64(100 + i))
 		default:
 			t.Fatalf("Stats field %s has unhandled kind %v — extend this test",
 				tp.Field(i).Name, bv.Field(i).Kind())
-		}
-	}
-
-	delta := big.Sub(small)
-	dv := reflect.ValueOf(delta)
-	for i := 0; i < dv.NumField(); i++ {
-		name := tp.Field(i).Name
-		switch dv.Field(i).Kind() {
-		case reflect.Uint64:
-			want := bv.Field(i).Uint() - sv.Field(i).Uint()
-			if got := dv.Field(i).Uint(); got != want {
-				t.Errorf("Sub dropped or miscomputed %s: got %d, want %d", name, got, want)
-			}
-		case reflect.Int64:
-			want := bv.Field(i).Int() - sv.Field(i).Int()
-			if got := dv.Field(i).Int(); got != want {
-				t.Errorf("Sub dropped or miscomputed %s: got %d, want %d", name, got, want)
-			}
-		case reflect.Int:
-			// Absolute fields keep the current (big) value.
-			if got := dv.Field(i).Int(); got != bv.Field(i).Int() {
-				t.Errorf("Sub must keep absolute %s: got %d, want %d", name, got, bv.Field(i).Int())
-			}
 		}
 	}
 

@@ -139,9 +139,8 @@ type watcher struct {
 }
 
 // Stats aggregates solver counters, exposed for the evaluation harness.
-// Counters are cumulative over the solver's lifetime; use Sub to obtain
-// the per-solve delta between two snapshots when a solver is reused
-// incrementally (k-sweeps, threat enumeration).
+// Counters are cumulative over the solver's lifetime, across
+// incremental Solve calls (threat enumeration).
 type Stats struct {
 	Conflicts    uint64
 	Decisions    uint64
@@ -215,35 +214,9 @@ type Event struct {
 	LearntDB     int // learned-DB size after the event
 }
 
-// Sub returns the counter difference st - prev: the work performed
-// between the two snapshots. The absolute instance-size fields (MaxVars,
-// Clauses) keep their current values rather than being subtracted.
-// Every cumulative counter added to Stats MUST be subtracted here and
-// rendered by String — TestStatsCountersComplete enforces this by
-// reflection, so per-solve deltas never silently lose a counter.
-func (st Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Conflicts:           st.Conflicts - prev.Conflicts,
-		Decisions:           st.Decisions - prev.Decisions,
-		Propagations:        st.Propagations - prev.Propagations,
-		Restarts:            st.Restarts - prev.Restarts,
-		Learned:             st.Learned - prev.Learned,
-		Removed:             st.Removed - prev.Removed,
-		Reduces:             st.Reduces - prev.Reduces,
-		Solves:              st.Solves - prev.Solves,
-		SolveTime:           st.SolveTime - prev.SolveTime,
-		ElimVars:            st.ElimVars - prev.ElimVars,
-		SubsumedClauses:     st.SubsumedClauses - prev.SubsumedClauses,
-		StrengthenedClauses: st.StrengthenedClauses - prev.StrengthenedClauses,
-		FailedLits:          st.FailedLits - prev.FailedLits,
-		SimplifyTime:        st.SimplifyTime - prev.SimplifyTime,
-		ImportedClauses:     st.ImportedClauses - prev.ImportedClauses,
-		MaxVars:             st.MaxVars,
-		Clauses:             st.Clauses,
-	}
-}
-
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. Every counter added to Stats MUST be
+// rendered here — TestStatsCountersComplete enforces this by
+// reflection.
 func (st Stats) String() string {
 	return fmt.Sprintf(
 		"vars=%d clauses=%d conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d removed=%d reduces=%d solves=%d solve_ms=%.2f elim_vars=%d subsumed=%d strengthened=%d failed_lits=%d simplify_ms=%.2f imported=%d",

@@ -57,7 +57,8 @@ type VerifyResponse struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep: verify every combined
-// budget k = 0..MaxK of the property on one incremental solver. A
+// budget k = 0..MaxK of the property (core.Sweep: each budget on its own
+// clone of the structure's cached snapshot). A
 // RequestID (with a checkpoint directory configured) makes the sweep
 // resumable: each finished budget is journaled, and a retry of the same
 // ID — on this node, or on a node the checkpoint was handed off to —

@@ -210,11 +210,9 @@ func (s *Server) handlePatchConfig(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		var ms core.MutationStats
-		if s.cache != nil {
-			if ms, err = s.cache.Mutate(cur.cfg, next, s.analyzerOptions(budget)...); err != nil {
-				return err
-			}
+		ms, err := s.cache.Mutate(cur.cfg, next, s.analyzerOptions(budget)...)
+		if err != nil {
+			return err
 		}
 		queries := reverifyQueries(k, rr)
 		runner := core.NewRunner(1, s.analyzerOptions(budget)...)

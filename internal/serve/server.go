@@ -124,12 +124,6 @@ type Options struct {
 	// see core.WithPresimplify). With the shared encoding cache the cost
 	// is paid once per distinct structure, not per request.
 	Presimplify bool
-	// NoEncodingCache disables the service-wide encoding cache. By
-	// default every worker clones ready solver snapshots from one shared
-	// core.EncodingCache, so concurrent identical requests encode (and
-	// preprocess) each structure exactly once — singleflight — instead
-	// of per request.
-	NoEncodingCache bool
 	// Certify makes every verdict this service reports carry a
 	// certification attestation (core.WithCertification): solves are
 	// proof-logged and checked in-process, sat models are audited, and
@@ -193,7 +187,7 @@ type Server struct {
 	q     *queue
 	brk   *breaker
 	mux   *http.ServeMux
-	cache *core.EncodingCache // nil when NoEncodingCache
+	cache *core.EncodingCache
 
 	// configs is the versioned configuration registry: one slot per
 	// served name, each holding the atomically-published current version
@@ -252,16 +246,17 @@ func New(opts Options) (*Server, error) {
 		q:    newQueue(opts.QueueDepth, opts.Metrics),
 		quit: make(chan struct{}),
 	}
-	if !opts.NoEncodingCache {
-		// Delta-aware and bounded: mutations evolve snapshots in place
-		// (DESIGN.md §16) instead of cold re-encoding, and the LRU cap
-		// keeps a mutation-heavy service's memory fixed.
-		s.cache = core.NewEncodingCache(
-			core.CacheWithDelta(),
-			core.CacheWithLimit(opts.CacheEntries),
-			core.CacheWithMetrics(opts.Metrics),
-		)
-	}
+	// One service-wide cache: every worker clones ready solver snapshots
+	// from it, so concurrent identical requests encode (and preprocess)
+	// each structure exactly once — singleflight — instead of per
+	// request. Delta-aware and bounded: mutations evolve snapshots in
+	// place (DESIGN.md §16) instead of cold re-encoding, and the LRU cap
+	// keeps a mutation-heavy service's memory fixed.
+	s.cache = core.NewEncodingCache(
+		core.CacheWithDelta(),
+		core.CacheWithLimit(opts.CacheEntries),
+		core.CacheWithMetrics(opts.Metrics),
+	)
 	s.configs = make(map[string]*servedConfig, len(opts.Configs))
 	for name, cfg := range opts.Configs {
 		sc := &servedConfig{name: name, hub: newMutationHub(name, opts.MaxSubscribers, opts.Metrics)}
@@ -362,10 +357,7 @@ func (s *Server) Queries() *obs.QueryRegistry { return s.queries }
 func (s *Server) analyzerOptions(b core.QueryBudget) []core.Option {
 	opts := append([]core.Option(nil), s.opts.AnalyzerOptions...)
 	opts = append(opts, core.WithMetrics(s.reg), core.WithBudget(b),
-		core.WithQueryRegistry(s.queries))
-	if s.cache != nil {
-		opts = append(opts, core.WithEncodingCache(s.cache))
-	}
+		core.WithQueryRegistry(s.queries), core.WithEncodingCache(s.cache))
 	if s.opts.Presimplify {
 		opts = append(opts, core.WithPresimplify(true))
 	}

@@ -60,8 +60,9 @@ type (
 	// Runner fans independent verifications across a worker pool; each
 	// worker owns a private solver, results come back in input order.
 	Runner = core.Runner
-	// Sweep reuses one structural encoding across a failure-budget
-	// sweep, rebuilding only the cardinality constraint per budget.
+	// Sweep verifies a failure-budget sweep over one structure: each
+	// budget solves on its own clone of the structure's cached snapshot,
+	// encoding only the budget's cardinality constraint.
 	Sweep = core.Sweep
 	// SolverStats are per-solve SAT statistics (decisions, conflicts,
 	// propagations, learned clauses, solve time).
