@@ -27,14 +27,8 @@ func WithQueryRegistry(r *obs.QueryRegistry) Option {
 // query registration, sharing the encoding cache key's memoization.
 // Fingerprint failures degrade to an empty label.
 func (a *Analyzer) fingerprint() string {
-	if a.encFP == "" {
-		fp, err := CampaignFingerprint(a.cfg, "encoding", a.policy, a.maxPaths)
-		if err != nil {
-			return ""
-		}
-		a.encFP = fp
-	}
-	return a.encFP
+	fp, _ := a.encodingFingerprint()
+	return fp
 }
 
 // beginQuery registers q in the live query registry and makes it the

@@ -166,11 +166,10 @@ func (r *Runner) VerifyAll(ctx context.Context, cfg *scadanet.Config, queries []
 // the leaders. Results are indexed like the input.
 func dispatchOrder(queries []Query, done []bool) []int {
 	order := make([]int, 0, len(queries))
-	type group struct{ prop, r, kl int }
-	seen := make(map[group]bool)
+	seen := make(map[snapshotKey]bool)
 	lead := make([]bool, len(queries))
 	for i, q := range queries {
-		g := group{int(q.Property), q.R, q.KL}
+		g := snapshotKey{q.Property, q.R, q.KL}
 		if (done == nil || !done[i]) && !seen[g] {
 			seen[g] = true
 			lead[i] = true

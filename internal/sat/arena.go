@@ -162,8 +162,8 @@ func (s *Solver) compact() {
 	for i, c := range s.learned {
 		s.learned[i] = reloc(c)
 	}
-	for l, ws := range s.watches {
-		ws = ws[:s.wn[l]]
+	for l := range s.wl {
+		ws := s.watchesOf(Lit(l))
 		for i := range ws {
 			ws[i].c = reloc(ws[i].c)
 		}

@@ -57,8 +57,8 @@ func TestArenaCompaction(t *testing.T) {
 			}
 		}
 	}
-	for l, ws := range s.watches {
-		for _, w := range ws[:s.wn[l]] {
+	for l := range s.wl {
+		for _, w := range s.watchesOf(Lit(l)) {
 			if !listed[w.c] || s.ca.deleted(w.c) {
 				t.Fatalf("watcher of literal %d names clause %d, not a live listed clause", l, w.c)
 			}
@@ -123,9 +123,9 @@ func TestClauseStoreIsPointerFree(t *testing.T) {
 		"arena word":   reflect.TypeOf(s.ca.mem).Elem(),
 		"cref":         reflect.TypeOf(cref(0)),
 		"watcher":      reflect.TypeOf(watcher{}),
-		"watch list":   reflect.TypeOf(s.watches).Elem().Elem(),
+		"watcher pool": reflect.TypeOf(s.wpool).Elem(),
 		"reason":       reflect.TypeOf(s.reason).Elem(),
-		"watch length": reflect.TypeOf(s.wn).Elem(),
+		"watch list":   reflect.TypeOf(s.wl).Elem(),
 		"problem list": reflect.TypeOf(s.clauses).Elem(),
 		"learned list": reflect.TypeOf(s.learned).Elem(),
 		"level stamp":  reflect.TypeOf(s.levelStamp).Elem(),

@@ -21,6 +21,7 @@ import "scadaver/internal/sat"
 type Log struct {
 	buf     []int32
 	adds    int
+	maxLit  sat.Lit // the largest literal logged
 	scratch []sat.Lit
 }
 
@@ -32,6 +33,7 @@ func (l *Log) Step(op sat.ProofOp, lits []sat.Lit) {
 	l.buf = append(l.buf, int32(len(lits))<<logOpBits|int32(op))
 	for _, x := range lits {
 		l.buf = append(l.buf, int32(x))
+		l.maxLit = max(l.maxLit, x)
 	}
 	if op == sat.ProofAdd {
 		l.adds++
@@ -41,6 +43,14 @@ func (l *Log) Step(op sat.ProofOp, lits []sat.Lit) {
 // Additions returns the number of ProofAdd steps ever logged, drained
 // or not: the size of the recorded derivation.
 func (l *Log) Additions() int { return l.adds }
+
+// Room returns the room a checker needs to take the pending steps
+// without growing: its per-literal arrays must reach every literal
+// logged, and each stored clause of n >= 2 literals takes clHeader+n
+// slab words for the log's 1+n, at most 4/3 as many.
+func (l *Log) Room() Room {
+	return Room{Lits: int(l.maxLit|1) + 1, Words: len(l.buf) + len(l.buf)/3}
+}
 
 // Drain replays the pending steps into w in the order they were logged,
 // empties the log, and returns the number of steps replayed. The

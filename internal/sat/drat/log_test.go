@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"scadaver/internal/sat"
 )
@@ -117,4 +118,44 @@ func FuzzProofLogReplay(f *testing.F) {
 		cut := int(data[len(data)-1]) % (len(steps) + 1)
 		checkLogReplay(t, steps, cut, []sat.Lit{0, 3})
 	})
+}
+
+// TestCloneWithLogRoom: a checker forked with the room of a pending log
+// — clauses over variables the fork has never seen, of two to five
+// literals, some of them RUP additions — takes the whole log without
+// growing its slab or its per-literal arrays, and ends up where direct
+// stepping does.
+func TestCloneWithLogRoom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	clause := func(lo, hi int) []sat.Lit {
+		lits := make([]sat.Lit, 2+rng.Intn(4))
+		for i := range lits {
+			lits[i] = sat.MkLit(sat.Var(lo+rng.Intn(hi-lo)), rng.Intn(2) == 0)
+		}
+		return lits
+	}
+	var steps []streamStep
+	for i := 0; i < 200; i++ {
+		steps = append(steps, streamStep{sat.ProofInput, clause(0, 100)})
+	}
+	cut := len(steps)
+	for i := 0; i < 300; i++ {
+		lits := clause(0, 160)
+		steps = append(steps, streamStep{sat.ProofInput, lits})
+		if i%3 == 0 {
+			// A superset of a stored clause is RUP.
+			steps = append(steps, streamStep{sat.ProofAdd, append(lits, sat.PosLit(sat.Var(160+i)))})
+		}
+	}
+	head := replayInto(steps[:cut])
+	var log Log
+	logSteps(&log, steps[cut:])
+	fork := head.CloneWithRoom(log.Room())
+	mem, vals, stamps, ws := unsafe.SliceData(fork.mem), unsafe.SliceData(fork.vals), unsafe.SliceData(fork.stamps), unsafe.SliceData(fork.watches)
+	log.Drain(fork)
+	if unsafe.SliceData(fork.mem) != mem || unsafe.SliceData(fork.vals) != vals ||
+		unsafe.SliceData(fork.stamps) != stamps || unsafe.SliceData(fork.watches) != ws {
+		t.Error("replaying the log grew the fork")
+	}
+	sameChecker(t, "fork", fork, replayInto(steps), []sat.Lit{0, 3})
 }

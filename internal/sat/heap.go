@@ -15,10 +15,10 @@ func newActivityHeap(act *[]float64) *activityHeap {
 
 // resetOrder rebuilds the decision heap over s's activity, pushing every
 // unassigned, uneliminated variable in index order into arrays sized
-// once.
-func (s *Solver) resetOrder() {
+// once, with room for vcap variables.
+func (s *Solver) resetOrder(vcap int) {
 	nv := len(s.assigns)
-	h := &activityHeap{act: &s.activity, heap: make([]Var, 0, nv), pos: make([]int, nv)}
+	h := &activityHeap{act: &s.activity, heap: make([]Var, 0, vcap), pos: make([]int, nv, vcap)}
 	for i := range h.pos {
 		h.pos[i] = -1
 	}

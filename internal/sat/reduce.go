@@ -134,11 +134,11 @@ func (s *Solver) ProbeRoot(maxProbes int) bool {
 func (s *Solver) detach(c cref) {
 	for _, w := range [2]Lit{s.ca.lit(c, 0), s.ca.lit(c, 1)} {
 		l := w.Neg()
-		ws := s.watches[l][:s.wn[l]]
+		ws := s.watchesOf(l)
 		for i := range ws {
 			if ws[i].c == c {
 				ws[i] = ws[len(ws)-1]
-				s.wn[l]--
+				s.wl[l].n--
 				break
 			}
 		}

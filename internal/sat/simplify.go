@@ -226,10 +226,10 @@ func newSimplifier(s *Solver) *simplifier {
 	for _, lits := range work {
 		p.addClause(lits)
 	}
-	// The working set replaces the watched representation entirely.
-	// Discarded learned clauses are logged as deletions so a forward
-	// checker's database tracks the solver's.
-	clear(s.wn)
+	// The working set replaces the watched representation entirely
+	// (rebuild lays out fresh watch lists). Discarded learned clauses
+	// are logged as deletions so a forward checker's database tracks
+	// the solver's.
 	if s.proof != nil {
 		for _, c := range s.learned {
 			if !s.ca.deleted(c) {
@@ -608,10 +608,10 @@ func appendResolvent(dst, a, b []Lit, v Var) ([]Lit, bool) {
 }
 
 // rebuild installs the surviving working clauses as the solver's clause
-// database, in a fresh, exactly sized arena, and re-attaches watches.
-// Root-level reasons are cleared: the antecedent clauses no longer
-// exist, and conflict analysis never resolves on level-0 assignments
-// anyway.
+// database, in a fresh, exactly sized arena, and attaches them to fresh
+// watch lists (none after a refutation). Root-level reasons are
+// cleared: the antecedent clauses no longer exist, and conflict analysis
+// never resolves on level-0 assignments anyway.
 func (p *simplifier) rebuild() {
 	s := p.s
 	s.clauses = s.clauses[:0]
@@ -619,24 +619,21 @@ func (p *simplifier) rebuild() {
 	for _, l := range s.trail {
 		s.reason[l.Var()] = 0
 	}
-	if s.rootUnsat {
-		return
-	}
-	words := 1
-	for i := range p.cls {
-		if !p.cls[i].dead {
-			words += clHeader + len(p.cls[i].lits)
+	if !s.rootUnsat {
+		words := 1
+		for i := range p.cls {
+			if !p.cls[i].dead {
+				words += clHeader + len(p.cls[i].lits)
+			}
+		}
+		s.ca.mem = make([]uint32, 0, words)
+		for i := range p.cls {
+			if !p.cls[i].dead {
+				s.clauses = append(s.clauses, s.ca.alloc(p.cls[i].lits, false))
+			}
 		}
 	}
-	s.ca.mem = make([]uint32, 0, words)
-	for i := range p.cls {
-		if p.cls[i].dead {
-			continue
-		}
-		c := s.ca.alloc(p.cls[i].lits, false)
-		s.clauses = append(s.clauses, c)
-		s.attach(c)
-	}
+	s.attachAll(0)
 	s.qhead = len(s.trail)
 }
 

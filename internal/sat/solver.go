@@ -20,18 +20,17 @@ type Solver struct {
 
 	// Assignment state.
 	assigns  []Tribool // var -> current value
-	level    []int     // var -> decision level of assignment
+	level    []int32   // var -> decision level of assignment
 	reason   []cref    // var -> antecedent clause (0 for decisions and root facts)
 	trail    []Lit     // assignment stack
 	trailLim []int     // decision-level boundaries in trail
 	qhead    int       // propagation queue head (index into trail)
 
-	// Watches: literal -> clauses watching that literal's negation.
-	// Each watches[l] is a full-length backing array whose first wn[l]
-	// entries are live, so propagate and attach update a length and
-	// store a slice header only when a list grows (pushWatch).
-	watches [][]watcher
-	wn      []int32
+	// Watches: literal -> clauses watching that literal's negation, all
+	// in one pointer-free pool (watch.go); wl[l] locates l's list there.
+	wpool   []watcher
+	wl      []watchList
+	wwasted int // pool slots no list owns
 
 	// Decision heuristic.
 	activity []float64
@@ -127,8 +126,7 @@ func (s *Solver) NewVar() Var {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.wn = append(s.wn, 0, 0)
+	s.wl = append(s.wl, watchList{}, watchList{})
 	s.frozen = append(s.frozen, false)
 	s.eliminated = append(s.eliminated, false)
 	s.order.push(v)
@@ -333,20 +331,6 @@ func (s *Solver) attach(c cref) {
 	s.pushWatch(w1.Neg(), watcher{c: c, blocker: int32(w0)})
 }
 
-// pushWatch appends w to the watch list of l. Only growth replaces the
-// list's backing array; otherwise the store is pointer-free.
-func (s *Solver) pushWatch(l Lit, w watcher) {
-	n := s.wn[l]
-	ws := s.watches[l]
-	if int(n) == len(ws) {
-		ws = append(ws, w)
-		s.watches[l] = ws[:cap(ws)]
-	} else {
-		ws[n] = w
-	}
-	s.wn[l] = n + 1
-}
-
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
@@ -356,7 +340,7 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	} else {
 		s.assigns[v] = True
 	}
-	s.level[v] = s.decisionLevel()
+	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
@@ -368,7 +352,7 @@ func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; clauses watching p must move
 		s.qhead++
-		ws := s.watches[p][:s.wn[p]]
+		ws := s.watchesOf(p)
 		j := 0
 		var conflict cref
 		for wi := 0; wi < len(ws); wi++ {
@@ -431,6 +415,10 @@ func (s *Solver) propagate() cref {
 				if s.value(Lit(lits[k])) != False {
 					lits[1], lits[k] = lits[k], lits[1]
 					s.pushWatch(Lit(lits[1]).Neg(), watcher{c: c, blocker: int32(first)})
+					// The push may have moved the pool: re-slice p's
+					// list, which keeps its length until the scan ends.
+					o := s.wl[p].off
+					ws = s.wpool[o : o+uint32(len(ws))]
 					moved = true
 					break
 				}
@@ -449,7 +437,7 @@ func (s *Solver) propagate() cref {
 			s.stats.Propagations++
 			s.uncheckedEnqueue(first, c)
 		}
-		s.wn[p] = int32(j)
+		s.wl[p].n = uint32(j)
 		if conflict != 0 {
 			return conflict
 		}
@@ -524,7 +512,7 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 			}
 			s.seen[v] = true
 			s.bumpVar(v)
-			if s.level[v] >= s.decisionLevel() {
+			if int(s.level[v]) >= s.decisionLevel() {
 				counter++
 			} else {
 				learnt = append(learnt, q)
@@ -585,7 +573,7 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 			}
 		}
 		minimized[1], minimized[maxIdx] = minimized[maxIdx], minimized[1]
-		back = s.level[minimized[1].Var()]
+		back = int(s.level[minimized[1].Var()])
 	}
 	s.analyzeTmp = learnt[:0]
 	return minimized, back
@@ -681,21 +669,28 @@ func (s *Solver) reduceDB() {
 }
 
 // cleanWatches drops watchers of deleted clauses and shrinks watch lists
-// whose backing arrays grew far beyond their live size, so steady-state
-// propagation neither scans dead entries nor pins peak-sized buffers.
+// whose slots grew far beyond their live size, so steady-state
+// propagation neither scans dead entries nor pins peak-sized lists. The
+// cut slots are waste, and the pool compacts once waste passes half.
 func (s *Solver) cleanWatches() {
-	for i, ws := range s.watches {
+	for l := range s.wl {
+		wl := &s.wl[l]
+		ws := s.wpool[wl.off : wl.off+wl.n]
 		j := 0
-		for _, w := range ws[:s.wn[i]] {
+		for _, w := range ws {
 			if !s.ca.deleted(w.c) {
 				ws[j] = w
 				j++
 			}
 		}
-		s.wn[i] = int32(j)
-		if len(ws) >= 16 && len(ws) > 4*j {
-			s.watches[i] = append([]watcher(nil), ws[:j]...)
+		wl.n = uint32(j)
+		if wl.cap >= 16 && wl.cap > 4*wl.n {
+			s.wwasted += int(wl.cap - wl.n)
+			wl.cap = wl.n
 		}
+	}
+	if 2*s.wwasted > len(s.wpool) {
+		s.compactWatches(0)
 	}
 }
 
