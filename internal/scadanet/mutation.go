@@ -132,6 +132,7 @@ func (c *Config) Apply(d Delta) (*Config, Dirty, error) {
 }
 
 func (c *Config) apply(op Op, dirty *Dirty) error {
+	c.forget()
 	switch op.Kind {
 	case OpDeviceUp, OpDeviceDown:
 		dev := c.Net.Device(op.Device)

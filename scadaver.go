@@ -181,6 +181,9 @@ func NewEncodingCache() *EncodingCache { return core.NewEncodingCache() }
 
 // WithEncodingCache makes the analyzer clone pre-encoded structural
 // snapshots from the shared cache instead of re-encoding per query.
+// Snapshots are found by a fingerprint memoized on the configuration:
+// edit a device's or link's fields (Down, Profiles) on a Clone of the
+// configuration, not in place, or the edit goes unseen.
 func WithEncodingCache(c *EncodingCache) Option { return core.WithEncodingCache(c) }
 
 // WithPresimplify preprocesses each CNF before search: unit propagation
