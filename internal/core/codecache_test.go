@@ -14,6 +14,7 @@ import (
 	"scadaver/internal/powergrid"
 	"scadaver/internal/sat"
 	"scadaver/internal/scadanet"
+	"scadaver/internal/secpolicy"
 )
 
 // cacheModes enumerates the four optimization configurations whose
@@ -514,6 +515,46 @@ func TestBudgetPastDeviceCountReservesNoRoom(t *testing.T) {
 		}
 		if res.Status != want.Status {
 			t.Errorf("%v: %v, but %v at K=%d", q, res.Status, want.Status, devices)
+		}
+	}
+}
+
+// TestPolicyKeysTheEncodingCache: two analyzers that differ only in
+// their security policy, on one shared encoding cache, must not share a
+// secured-observability snapshot. Each verdict must match a fresh
+// analyzer's under its own policy, whichever policy builds first.
+func TestPolicyKeysTheEncodingCache(t *testing.T) {
+	cfg := synthConfig(t, powergrid.IEEE14(), 7, 2)
+	q := Query{Property: SecuredObservability, Combined: true, K: 0}
+	policies := map[string]*secpolicy.Policy{
+		"default": secpolicy.Default(),
+		"none":    secpolicy.NewPolicy(nil, nil), // grants nothing
+	}
+	verify := func(p *secpolicy.Policy, opts ...Option) sat.Status {
+		t.Helper()
+		a, err := NewAnalyzer(cfg, append(opts, WithPolicy(p))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := a.Verify(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Status
+	}
+	fresh := map[string]sat.Status{}
+	for name, p := range policies {
+		fresh[name] = verify(p)
+	}
+	if fresh["default"] == fresh["none"] {
+		t.Fatalf("both policies give %v: the configuration does not tell them apart", fresh["default"])
+	}
+	for _, order := range [][2]string{{"default", "none"}, {"none", "default"}} {
+		cache := NewEncodingCache()
+		for _, name := range order {
+			if got := verify(policies[name], WithEncodingCache(cache)); got != fresh[name] {
+				t.Errorf("%s after %s on a shared cache: %v, fresh analyzer %v", name, order[0], got, fresh[name])
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"scadaver/internal/matrix"
@@ -185,41 +185,43 @@ func (ms *MeasurementSet) UniqueGroups() [][]int {
 }
 
 func (ms *MeasurementSet) uniqueGroupsSlow() [][]int {
-	keyOf := func(row []float64) string {
-		// Canonicalize sign by the first structural non-zero.
-		sign := 1.0
-		for _, v := range row {
-			if math.Abs(v) > sparseEps {
-				if v < 0 {
-					sign = -1
-				}
-				break
-			}
-		}
-		var sb strings.Builder
-		for _, v := range row {
-			q := math.Round(sign*v/sparseEps) * sparseEps
-			if math.Abs(q) <= sparseEps {
-				q = 0
-			}
-			fmt.Fprintf(&sb, "%.6f,", q)
-		}
-		return sb.String()
-	}
-	order := []string{}
-	groups := map[string][]int{}
+	index := map[string]int{} // row key -> its group in out
+	var out [][]int
+	var key []byte
 	for z, m := range ms.Msrs {
-		k := keyOf(m.Row)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		key = appendRowKey(key[:0], m.Row)
+		if g, ok := index[string(key)]; ok {
+			out[g] = append(out[g], z)
+			continue
 		}
-		groups[k] = append(groups[k], z)
-	}
-	out := make([][]int, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k])
+		index[string(key)] = len(out)
+		out = append(out, []int{z})
 	}
 	return out
+}
+
+// appendRowKey appends a Jacobian row's grouping key to dst: every entry
+// rounded to sparseEps with the sign canonicalized by the row's first
+// structural non-zero, each written as "%.6f,".
+func appendRowKey(dst []byte, row []float64) []byte {
+	sign := 1.0
+	for _, v := range row {
+		if math.Abs(v) > sparseEps {
+			if v < 0 {
+				sign = -1
+			}
+			break
+		}
+	}
+	for _, v := range row {
+		q := math.Round(sign*v/sparseEps) * sparseEps
+		if math.Abs(q) <= sparseEps {
+			q = 0
+		}
+		dst = strconv.AppendFloat(dst, q, 'f', 6, 64)
+		dst = append(dst, ',')
+	}
+	return dst
 }
 
 // Sample returns a new measurement set keeping roughly percent·Len()/100

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -73,22 +74,124 @@ func TestArenaCompaction(t *testing.T) {
 
 // TestArenaLimit: the arena refuses to grow past what a 32-bit cref
 // addresses (counting the pad word a fresh arena still needs), and
-// refuses clauses longer than the header's size field.
+// refuses clauses longer than the header's size field. A problem clause
+// of n literals takes 1+n words, a learned one 1+n+3.
 func TestArenaLimit(t *testing.T) {
 	for _, tc := range []struct {
-		used uint64
-		n    int
-		want bool
+		used    uint64
+		n       int
+		learned bool
+		want    bool
 	}{
-		{0, 3, true},
-		{arenaLimit - clHeader - 7, 6, true},
-		{arenaLimit - clHeader - 7, 7, false},
-		{arenaLimit, 0, false},
-		{0, clMaxSize, true},
-		{0, clMaxSize + 1, false},
+		{0, 3, false, true},
+		{arenaLimit - 8, 6, false, true},
+		{arenaLimit - 8, 7, false, false},
+		{arenaLimit - 8, 3, true, true},
+		{arenaLimit - 8, 4, true, false},
+		{arenaLimit, 0, false, false},
+		{0, clMaxSize, true, true},
+		{0, clMaxSize + 1, false, false},
 	} {
-		if got := fits(tc.used, tc.n); got != tc.want {
-			t.Errorf("fits(%d, %d) = %v, want %v", tc.used, tc.n, got, tc.want)
+		if got := fits(tc.used, tc.n, tc.learned); got != tc.want {
+			t.Errorf("fits(%d, %d, %v) = %v, want %v", tc.used, tc.n, tc.learned, got, tc.want)
+		}
+	}
+}
+
+// TestArenaLayout pins the clause layout: a problem clause of n
+// literals takes 1+n words, a learned one 1+n+clMeta, and a learned
+// clause's LBD and activity survive shrink, which moves them behind its
+// new last literal without touching the clause after it.
+func TestArenaLayout(t *testing.T) {
+	var a clauseArena
+	lits := func(ls ...int) []Lit {
+		out := make([]Lit, len(ls))
+		for i, l := range ls {
+			out[i] = Lit(l)
+		}
+		return out
+	}
+	p3 := a.alloc(lits(0, 2, 4), false)
+	l5 := a.alloc(lits(1, 3, 5, 7, 9), true)
+	p2 := a.alloc(lits(6, 8), false)
+	end := len(a.mem)
+	if p3 != 1 || l5 != p3+4 || p2 != l5+cref(1+5+clMeta) || end != int(p2)+3 {
+		t.Fatalf("crefs %d %d %d, end %d: want 1 5 14, end 17", p3, l5, p2, end)
+	}
+	for c, want := range map[cref]int{p3: 4, l5: 9, p2: 3} {
+		if got := a.words(c); got != want {
+			t.Errorf("clause %d takes %d words, want %d", c, got, want)
+		}
+	}
+	a.setLBD(l5, 7)
+	a.setAct(l5, 3.5e19)
+	a.shrink(l5, 3)
+	if got := a.appendLits(nil, l5); !reflect.DeepEqual(got, lits(1, 3, 5)) {
+		t.Errorf("shrunk literals %v", got)
+	}
+	if a.lbd(l5) != 7 || a.act(l5) != 3.5e19 || !a.learned(l5) {
+		t.Errorf("after shrink: LBD %d, activity %g, learned %v", a.lbd(l5), a.act(l5), a.learned(l5))
+	}
+	if a.words(l5) != 1+3+clMeta || a.wasted != 2 {
+		t.Errorf("after shrink: %d words, %d wasted", a.words(l5), a.wasted)
+	}
+	if got := a.appendLits(nil, p2); !reflect.DeepEqual(got, lits(6, 8)) || a.size(p2) != 2 {
+		t.Errorf("the next clause reads %v after the shrink", got)
+	}
+}
+
+// learnedMeta maps every live learned clause, by its literals, to its
+// LBD and activity.
+func learnedMeta(s *Solver) map[string][2]float64 {
+	out := map[string][2]float64{}
+	for _, c := range s.learned {
+		if !s.ca.deleted(c) {
+			out[fmt.Sprint(s.ca.appendLits(nil, c))] = [2]float64{float64(s.ca.lbd(c)), s.ca.act(c)}
+		}
+	}
+	return out
+}
+
+// TestLearnedMetaSurvivesCompactAndClone: after a search with several
+// reductions, the learned clauses keep their LBD and activity through a
+// compaction (half of them deleted first, so every survivor moves) and
+// into a clone.
+func TestLearnedMetaSurvivesCompactAndClone(t *testing.T) {
+	s := New()
+	goldenInstance(t, s, 3)
+	s.SetConflictBudget(3000)
+	s.Solve()
+	if len(s.learned) < 100 {
+		t.Fatalf("only %d learned clauses", len(s.learned))
+	}
+	for i, c := range s.learned {
+		if i%2 == 0 && !s.isReason(c) {
+			s.detach(c)
+			s.ca.markDeleted(c)
+			s.ca.drop(c)
+		}
+	}
+	want := learnedMeta(s)
+	kept := s.learned[:0]
+	for _, c := range s.learned {
+		if !s.ca.deleted(c) {
+			kept = append(kept, c)
+		}
+	}
+	s.learned = kept
+	s.compact()
+	if s.ca.wasted != 0 || len(s.ca.mem) != liveWords(s) {
+		t.Fatalf("compacted arena %d words, %d live", len(s.ca.mem), liveWords(s))
+	}
+	if got := learnedMeta(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("compaction changed learned metadata (%d clauses, want %d)", len(got), len(want))
+	}
+	if got := learnedMeta(s.Clone()); !reflect.DeepEqual(got, want) {
+		t.Errorf("clone changed learned metadata (%d clauses, want %d)", len(got), len(want))
+	}
+	for _, c := range s.clauses {
+		if s.ca.words(c) != 1+s.ca.size(c) {
+			t.Fatalf("problem clause %d takes %d words", c, s.ca.words(c))
 		}
 	}
 }
@@ -125,6 +228,7 @@ func TestClauseStoreIsPointerFree(t *testing.T) {
 		"watcher":      reflect.TypeOf(watcher{}),
 		"watcher pool": reflect.TypeOf(s.wpool).Elem(),
 		"reason":       reflect.TypeOf(s.reason).Elem(),
+		"value":        reflect.TypeOf(s.vals).Elem(),
 		"watch list":   reflect.TypeOf(s.wl).Elem(),
 		"problem list": reflect.TypeOf(s.clauses).Elem(),
 		"learned list": reflect.TypeOf(s.learned).Elem(),

@@ -53,7 +53,7 @@ func (s *Solver) AdoptActivity(a []float64) {
 		return
 	}
 	copy(s.activity, a)
-	s.resetOrder(cap(s.assigns))
+	s.resetOrder(cap(s.level))
 }
 
 // HarvestLearnts copies up to limit learned clauses whose variables all

@@ -34,7 +34,7 @@ func (s *Solver) Clone() *Solver { return s.CloneWithRoom(Room{}) }
 // query adds to its clone.
 func (s *Solver) CloneWithRoom(room Room) *Solver {
 	s.cancelUntil(0)
-	nv := len(s.assigns)
+	nv := len(s.level)
 	vcap := nv + room.Vars
 	n := &Solver{
 		varInc:         s.varInc,
@@ -46,7 +46,7 @@ func (s *Solver) CloneWithRoom(room Room) *Solver {
 		lubyIdx:        s.lubyIdx,
 		conflictBudget: s.conflictBudget,
 		rootUnsat:      s.rootUnsat,
-		assigns:        withRoom(s.assigns, vcap),
+		vals:           withRoom(s.vals, 2*vcap),
 		level:          withRoom(s.level, vcap),
 		reason:         make([]cref, nv, vcap),
 		trail:          withRoom(s.trail, vcap),
@@ -64,15 +64,16 @@ func (s *Solver) CloneWithRoom(room Room) *Solver {
 	// this copy is hot. The live clauses are copied word for word into
 	// one arena (deleted clauses still on a list are left behind), and
 	// attachAll gives each watch list its slots, a third of them spare.
-	words := 1
+	words, live := 1, 0
 	for _, db := range [2][]cref{s.clauses, s.learned} {
 		for _, c := range db {
 			if !s.ca.deleted(c) {
 				words += s.ca.words(c)
+				live++
 			}
 		}
 	}
-	mem := make([]uint32, 1, words+room.Clauses*(clHeader+roomClauseLen))
+	mem := make([]uint32, 1, words+room.Clauses*clauseWords(roomClauseLen, false))
 	copyDB := func(src []cref, room int) []cref {
 		out := make([]cref, 0, len(src)+room)
 		for _, c := range src {
@@ -87,12 +88,17 @@ func (s *Solver) CloneWithRoom(room Room) *Solver {
 	n.clauses = copyDB(s.clauses, room.Clauses)
 	n.learned = copyDB(s.learned, 0)
 	n.ca.mem = mem
-	// Each new clause adds two watchers. A list that outgrows its slots
-	// moves to the pool's end and doubles, leaving its old slots behind,
-	// so a list owns at most twice its watchers and has used at most
-	// four times as many slots: the pool's end has room for eight per
-	// new clause.
-	n.attachAll(8 * room.Clauses)
+	// The pool's end gets room for the budget and for the search. Each
+	// new clause pushes two watchers, and a list that outgrows its slots
+	// moves to the pool's end with twice as many; a list attached with
+	// half again its watchers first moves after half as many pushes, so
+	// a push costs fewer than six slots: twelve per new clause. The
+	// search moves watchers between lists, and lists keep the slots they
+	// reach: a certified IEEE-57 query's first descent alone takes 40–60%
+	// of the slots attachAll gives the lists (three per clause), so the
+	// end has room for half of those again, and a clone compacts its
+	// pool only in a long search.
+	n.attachAll(12*room.Clauses + 3*live/2)
 	n.stats.MaxVars = nv
 	return n
 }

@@ -19,7 +19,11 @@
 // Clauses live in one flat, pointer-free arena of uint32 words and are
 // named by their 32-bit offset (a cref); watchers, reasons and the
 // clause lists hold crefs, so the garbage collector never scans the
-// clause database and propagation stores run no write barrier.
+// clause database and propagation stores run no write barrier. A
+// clause is one header word and its literals; only learned clauses
+// carry LBD and activity, in three words after their literals. The
+// assignment is indexed by literal, both polarities written, so
+// reading a literal's value is one load.
 // Deleted clauses leave waste that is compacted away, with every cref
 // relocated in place, once it passes a quarter of the arena. The watch
 // lists share one pointer-free pool of watchers, each literal naming

@@ -7,7 +7,7 @@ import "unsafe"
 // reallocated one of them.
 func Backing(s *Solver) map[string]unsafe.Pointer {
 	return map[string]unsafe.Pointer{
-		"assigns":    unsafe.Pointer(unsafe.SliceData(s.assigns)),
+		"vals":       unsafe.Pointer(unsafe.SliceData(s.vals)),
 		"level":      unsafe.Pointer(unsafe.SliceData(s.level)),
 		"reason":     unsafe.Pointer(unsafe.SliceData(s.reason)),
 		"trail":      unsafe.Pointer(unsafe.SliceData(s.trail)),

@@ -17,14 +17,14 @@ func newActivityHeap(act *[]float64) *activityHeap {
 // unassigned, uneliminated variable in index order into arrays sized
 // once, with room for vcap variables.
 func (s *Solver) resetOrder(vcap int) {
-	nv := len(s.assigns)
+	nv := len(s.level)
 	h := &activityHeap{act: &s.activity, heap: make([]Var, 0, vcap), pos: make([]int, nv, vcap)}
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
 	s.order = h
 	for v := Var(0); int(v) < nv; v++ {
-		if s.assigns[v] == Unknown && !s.eliminated[v] {
+		if s.vals[PosLit(v)] == Unknown && !s.eliminated[v] {
 			h.push(v)
 		}
 	}

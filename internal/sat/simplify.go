@@ -95,11 +95,11 @@ func (s *Solver) Simplify() bool {
 // plain unit propagation, bounded by maxProbes assumptions per call.
 func (s *Solver) probeFailedLiterals(maxProbes int) {
 	probes := 0
-	for v := Var(0); int(v) < len(s.assigns); v++ {
+	for v := Var(0); int(v) < len(s.level); v++ {
 		if probes >= maxProbes {
 			return
 		}
-		if s.assigns[v] != Unknown || s.eliminated[v] {
+		if s.vals[PosLit(v)] != Unknown || s.eliminated[v] {
 			continue
 		}
 		for _, l := range [2]Lit{PosLit(v), NegLit(v)} {
@@ -167,8 +167,8 @@ type simpClause struct {
 func newSimplifier(s *Solver) *simplifier {
 	p := &simplifier{
 		s:       s,
-		occ:     make([][]int, 2*len(s.assigns)),
-		touched: make([]bool, len(s.assigns)),
+		occ:     make([][]int, len(s.vals)),
+		touched: make([]bool, len(s.level)),
 	}
 	for i := range p.touched {
 		p.touched[i] = true
@@ -497,8 +497,8 @@ func subsume(c, d []Lit) (flip Lit, ok bool) {
 // resulting formula are those of trying every variable.
 func (p *simplifier) eliminateRound() int {
 	eliminated := 0
-	for v := Var(0); int(v) < len(p.s.assigns); v++ {
-		if !p.touched[v] || p.s.frozen[v] || p.s.eliminated[v] || p.s.assigns[v] != Unknown {
+	for v := Var(0); int(v) < len(p.s.level); v++ {
+		if !p.touched[v] || p.s.frozen[v] || p.s.eliminated[v] || p.s.vals[PosLit(v)] != Unknown {
 			continue
 		}
 		if p.tryEliminate(v) {
@@ -623,7 +623,7 @@ func (p *simplifier) rebuild() {
 		words := 1
 		for i := range p.cls {
 			if !p.cls[i].dead {
-				words += clHeader + len(p.cls[i].lits)
+				words += clauseWords(len(p.cls[i].lits), false)
 			}
 		}
 		s.ca.mem = make([]uint32, 0, words)
@@ -665,14 +665,14 @@ func (s *Solver) extendModel() {
 				break
 			}
 		}
-		s.assigns[rec.v] = val
+		s.vals[PosLit(rec.v)], s.vals[NegLit(rec.v)] = val, val.Not()
 	}
 }
 
 // litModelTrue evaluates l under the Model convention: unassigned
 // variables read as false.
 func (s *Solver) litModelTrue(l Lit) bool {
-	b := s.assigns[l.Var()] == True
+	b := s.vals[PosLit(l.Var())] == True
 	if l.Sign() {
 		return !b
 	}

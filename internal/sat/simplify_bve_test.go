@@ -137,7 +137,7 @@ func TestSimplifyReachesElimFixpoint(t *testing.T) {
 		checked++
 		elims += int(s.stats.ElimVars)
 		for _, v := range vars {
-			if s.frozen[v] || s.eliminated[v] || s.assigns[v] != Unknown {
+			if s.frozen[v] || s.eliminated[v] || s.vals[PosLit(v)] != Unknown {
 				continue
 			}
 			if passesElimBound(p, v) {

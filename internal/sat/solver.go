@@ -19,7 +19,7 @@ type Solver struct {
 	learned []cref // learned clauses
 
 	// Assignment state.
-	assigns  []Tribool // var -> current value
+	vals     []Tribool // literal -> current value (both polarities written)
 	level    []int32   // var -> decision level of assignment
 	reason   []cref    // var -> antecedent clause (0 for decisions and root facts)
 	trail    []Lit     // assignment stack
@@ -119,8 +119,8 @@ func New() *Solver {
 
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Unknown)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, Unknown, Unknown)
 	s.level = append(s.level, -1)
 	s.reason = append(s.reason, 0)
 	s.activity = append(s.activity, 0)
@@ -130,12 +130,12 @@ func (s *Solver) NewVar() Var {
 	s.frozen = append(s.frozen, false)
 	s.eliminated = append(s.eliminated, false)
 	s.order.push(v)
-	s.stats.MaxVars = len(s.assigns)
+	s.stats.MaxVars = len(s.level)
 	return v
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // SetConflictBudget bounds the number of conflicts a single Solve may
 // spend; 0 means unlimited. An exhausted budget yields Unsolved. The
@@ -224,30 +224,26 @@ func (s *Solver) Stats() Stats {
 	return st
 }
 
-func (s *Solver) value(l Lit) Tribool {
-	v := s.assigns[l.Var()]
-	if l.Sign() {
-		return v.Not()
-	}
-	return v
-}
+// value returns l's truth value: one load, since the assignment is
+// indexed by literal and enqueue and backtrack write both polarities.
+func (s *Solver) value(l Lit) Tribool { return s.vals[l] }
 
 // Value returns the truth value of v in the current assignment. It is
 // meaningful for all variables after Solve returned Sat.
 func (s *Solver) Value(v Var) Tribool {
-	if int(v) >= len(s.assigns) {
+	if int(v) >= len(s.level) {
 		return Unknown
 	}
-	return s.assigns[v]
+	return s.vals[PosLit(v)]
 }
 
 // Model returns the satisfying assignment as a slice indexed by variable.
 // Unassigned variables (possible for variables outside every clause)
 // default to false. Valid only after Solve returned Sat.
 func (s *Solver) Model() []bool {
-	m := make([]bool, len(s.assigns))
-	for v := range s.assigns {
-		m[v] = s.assigns[v] == True
+	m := make([]bool, len(s.level))
+	for v := range m {
+		m[v] = s.vals[PosLit(Var(v))] == True
 	}
 	return m
 }
@@ -276,7 +272,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	ded := tmp[:0]
 	var prev Lit = LitUndef
 	for _, l := range tmp {
-		if int(l.Var()) >= len(s.assigns) || l < 0 {
+		if int(l.Var()) >= len(s.level) || l < 0 {
 			return fmt.Errorf("sat: literal %v uses an undeclared variable", l)
 		}
 		if s.eliminated[l.Var()] {
@@ -291,7 +287,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		ded = append(ded, l)
 		prev = l
 	}
-	if !s.ca.room(len(ded)) {
+	if !s.ca.room(len(ded), false) {
 		return fmt.Errorf("sat: clause database exceeds 2^32 words")
 	}
 	s.proofStep(ProofInput, ded)
@@ -335,11 +331,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Sign() {
-		s.assigns[v] = False
-	} else {
-		s.assigns[v] = True
-	}
+	s.vals[l], s.vals[l^1] = True, False
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -453,8 +445,8 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.polarity[v] = s.assigns[v] == False
-		s.assigns[v] = Unknown
+		s.polarity[v] = l.Sign() // l is the true literal on the trail
+		s.vals[l], s.vals[l^1] = Unknown, Unknown
 		s.reason[v] = 0
 		s.level[v] = -1
 		s.order.push(v)
@@ -476,7 +468,13 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
+// bumpClause raises a learned clause's activity. Problem clauses carry
+// no activity (reduction never ranks them), so they are skipped, as in
+// MiniSat.
 func (s *Solver) bumpClause(c cref) {
+	if !s.ca.learned(c) {
+		return
+	}
 	act := s.ca.act(c) + s.clauseInc
 	s.ca.setAct(c, act)
 	if act > 1e20 {
@@ -699,7 +697,7 @@ func (s *Solver) isReason(c cref) bool {
 	// literal is not necessarily at position 0: scan all of them.
 	for _, w := range s.ca.lits(c) {
 		v := Lit(w).Var()
-		if s.assigns[v] != Unknown && s.reason[v] == c {
+		if s.vals[PosLit(v)] != Unknown && s.reason[v] == c {
 			return true
 		}
 	}
@@ -709,7 +707,7 @@ func (s *Solver) isReason(c cref) bool {
 func (s *Solver) pickBranchLit() Lit {
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == Unknown && !s.eliminated[v] {
+		if s.vals[PosLit(v)] == Unknown && !s.eliminated[v] {
 			return MkLit(v, s.polarity[v])
 		}
 	}

@@ -1,6 +1,7 @@
 package secpolicy
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -109,6 +110,24 @@ func Default() *Policy {
 		{Algo: RSA, MinKeyBits: 2048, Grants: Authenticates | IntegrityProtects},
 		{Algo: AES, MinKeyBits: 128, Grants: Encrypts},
 	}, []Algorithm{DES, TDES, MD5, SHA1, Plain})
+}
+
+// MarshalJSON renders the policy canonically: its rules in order, then
+// its broken algorithms sorted. Two policies that judge every profile
+// alike by construction encode alike, and policies with different rules
+// or broken lists encode differently, so the encoding can key caches
+// and fingerprints (the fields themselves are unexported and would
+// encode as {}).
+func (p *Policy) MarshalJSON() ([]byte, error) {
+	broken := make([]Algorithm, 0, len(p.broken))
+	for a := range p.broken {
+		broken = append(broken, a)
+	}
+	sort.Slice(broken, func(i, j int) bool { return broken[i] < broken[j] })
+	return json.Marshal(struct {
+		Rules  []Rule      `json:"rules"`
+		Broken []Algorithm `json:"broken"`
+	}{p.rules, broken})
 }
 
 // Broken reports whether the policy considers the algorithm broken.

@@ -1,6 +1,7 @@
 package secpolicy
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +203,34 @@ func TestCustomPolicy(t *testing.T) {
 	var zero Policy
 	if zero.Judge([]Profile{{AES, 256}}) != 0 {
 		t.Fatal("zero policy must grant nothing")
+	}
+}
+
+// TestPolicyJSONIsCanonical: the JSON encoding names a policy's rules
+// and broken list, so policies that differ encode differently, while
+// the order the broken algorithms were listed in does not matter.
+func TestPolicyJSONIsCanonical(t *testing.T) {
+	enc := func(p *Policy) string {
+		t.Helper()
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	rules := []Rule{{Algo: HMAC, MinKeyBits: 128, Grants: Authenticates}}
+	a := enc(NewPolicy(rules, []Algorithm{DES, MD5}))
+	if b := enc(NewPolicy(rules, []Algorithm{MD5, DES})); a != b {
+		t.Errorf("broken-list order changes the encoding: %s vs %s", a, b)
+	}
+	for name, p := range map[string]*Policy{
+		"default":      Default(),
+		"empty":        NewPolicy(nil, nil),
+		"other broken": NewPolicy(rules, []Algorithm{DES}),
+		"other rule":   NewPolicy([]Rule{{Algo: HMAC, MinKeyBits: 64, Grants: Authenticates}}, []Algorithm{DES, MD5}),
+	} {
+		if got := enc(p); got == a || got == "{}" {
+			t.Errorf("%s policy encodes as %s", name, got)
+		}
 	}
 }
