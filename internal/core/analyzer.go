@@ -547,7 +547,9 @@ func (a *Analyzer) verify(q Query) (*Result, *certState, error) {
 		t0 = time.Now()
 		enc.Solver().ReduceRoot()
 		enc.Solver().ProbeRoot(queryProbeLimit)
-		ph.Preprocess = time.Since(t0)
+		// Add, not assign: a building query already holds the
+		// snapshot's Simplify here (preprocessPhase).
+		ph.Preprocess += time.Since(t0)
 		sp.End()
 	} else {
 		assumptions = append(assumptions, budget)

@@ -24,3 +24,52 @@ func Backing(s *Solver) map[string]unsafe.Pointer {
 		"pool":       unsafe.Pointer(unsafe.SliceData(s.wpool)),
 	}
 }
+
+// ReferenceProbeRoot is ProbeRoot with the probing loop as it was
+// before dominated probes were skipped: every candidate literal, up to
+// maxProbes of them, is assumed and propagated. Tests hold
+// probeFailedLiterals to it.
+func ReferenceProbeRoot(s *Solver, maxProbes int) bool {
+	s.cancelUntil(0)
+	if s.rootUnsat {
+		return false
+	}
+	if s.propagate() != 0 {
+		s.markRootUnsat()
+		return false
+	}
+	referenceProbe(s, maxProbes)
+	return !s.rootUnsat
+}
+
+func referenceProbe(s *Solver, maxProbes int) {
+	probes := 0
+	for v := Var(0); int(v) < len(s.level); v++ {
+		if probes >= maxProbes {
+			return
+		}
+		if s.vals[PosLit(v)] != Unknown || s.eliminated[v] {
+			continue
+		}
+		for _, l := range [2]Lit{PosLit(v), NegLit(v)} {
+			if s.value(l) != Unknown {
+				continue
+			}
+			probes++
+			s.trailLim = append(s.trailLim, len(s.trail))
+			s.uncheckedEnqueue(l, 0)
+			conflict := s.propagate()
+			s.cancelUntil(0)
+			if conflict == 0 {
+				continue
+			}
+			s.stats.FailedLits++
+			s.proofStep(ProofAdd, []Lit{l.Neg()})
+			s.uncheckedEnqueue(l.Neg(), 0)
+			if s.propagate() != 0 {
+				s.markRootUnsat()
+				return
+			}
+		}
+	}
+}

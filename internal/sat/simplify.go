@@ -93,7 +93,19 @@ func (s *Solver) Simplify() bool {
 // level and propagates: a conflict proves the literal's negation at the
 // root ("failed literal"). Watches are still attached here, so this is
 // plain unit propagation, bounded by maxProbes assumptions per call.
+//
+// A probe that ends without conflict stamps every literal it implied
+// with the current epoch, and a later candidate stamped in the current
+// epoch is skipped: what it implies is a subset of that conflict-free
+// closure, so it cannot fail. A failed literal adds root units, which
+// can make any probe fail, so it starts a new epoch. Skipped candidates
+// still count against maxProbes, which keeps the failed literals, the
+// root units and the proof those of probing every candidate. Only the
+// saved phases and watch order a skipped probe would have left differ
+// (Simplify rebuilds the watches anyway).
 func (s *Solver) probeFailedLiterals(maxProbes int) {
+	implied := make([]uint32, len(s.vals))
+	epoch := uint32(1)
 	probes := 0
 	for v := Var(0); int(v) < len(s.level); v++ {
 		if probes >= maxProbes {
@@ -107,13 +119,21 @@ func (s *Solver) probeFailedLiterals(maxProbes int) {
 				continue
 			}
 			probes++
+			if implied[l] == epoch {
+				continue
+			}
 			s.trailLim = append(s.trailLim, len(s.trail))
 			s.uncheckedEnqueue(l, 0)
 			conflict := s.propagate()
-			s.cancelUntil(0)
 			if conflict == 0 {
+				for _, m := range s.trail[s.trailLim[0]:] {
+					implied[m] = epoch
+				}
+				s.cancelUntil(0)
 				continue
 			}
+			s.cancelUntil(0)
+			epoch++
 			s.stats.FailedLits++
 			// A failed literal's negation is a RUP unit: assuming l and
 			// propagating is exactly the RUP check of {¬l}.
@@ -147,11 +167,14 @@ type simplifier struct {
 	// after failing it once (see eliminateRound).
 	touched []bool
 
-	// Scratch reused across calls, never retained: res holds the
-	// resolvents of the current elimination attempt back to back and
-	// resEnd their end offsets; cand and occBuf hold copies of
+	// Scratch reused across calls, never retained: marks[l] == mark
+	// flags the literals of the positive clause countResolvents is
+	// pairing; res holds the resolvents of an elimination back to back
+	// and resEnd their end offsets; cand and occBuf hold copies of
 	// occurrence lists that are edited while being walked; orig holds a
 	// clause's pre-strengthening literals for the proof.
+	marks  []uint32
+	mark   uint32
 	res    []Lit
 	resEnd []int
 	cand   []int
@@ -169,6 +192,7 @@ func newSimplifier(s *Solver) *simplifier {
 		s:       s,
 		occ:     make([][]int, len(s.vals)),
 		touched: make([]bool, len(s.level)),
+		marks:   make([]uint32, len(s.vals)),
 	}
 	for i := range p.touched {
 		p.touched[i] = true
@@ -516,11 +540,11 @@ func (p *simplifier) eliminateRound() int {
 
 // tryEliminate resolves v out of the formula when the set of
 // non-tautological resolvents of its positive and negative occurrence
-// lists is no larger than the clauses they replace (plus elimGrow). The
-// resolvents are counted by merging into the reused res buffer, which
-// is abandoned as soon as the count passes the bound; only an actual
-// elimination copies them out as clauses. The positive occurrence
-// snapshots go on the elimination stack for model reconstruction.
+// lists is no larger than the clauses they replace (plus elimGrow).
+// countResolvents decides that without building a resolvent; only a
+// variable that passes has its resolvents merged into the reused res
+// buffer and copied out as clauses. The positive occurrence snapshots
+// go on the elimination stack for model reconstruction.
 func (p *simplifier) tryEliminate(v Var) bool {
 	p.touched[v] = false
 	pos := p.occ[PosLit(v)]
@@ -529,17 +553,16 @@ func (p *simplifier) tryEliminate(v Var) bool {
 		return false
 	}
 	limit := len(pos) + len(neg) + elimGrow
+	if p.countResolvents(pos, neg, v, limit) > limit {
+		return false
+	}
 	p.res, p.resEnd = p.res[:0], p.resEnd[:0]
 	for _, ci := range pos {
 		for _, di := range neg {
 			var ok bool
 			p.res, ok = appendResolvent(p.res, p.cls[ci].lits, p.cls[di].lits, v)
-			if !ok {
-				continue
-			}
-			p.resEnd = append(p.resEnd, len(p.res))
-			if len(p.resEnd) > limit {
-				return false
+			if ok {
+				p.resEnd = append(p.resEnd, len(p.res))
 			}
 		}
 	}
@@ -574,6 +597,39 @@ func (p *simplifier) tryEliminate(v Var) bool {
 		p.addClause(r)
 	}
 	return true
+}
+
+// countResolvents counts the non-tautological resolvents on v of each
+// clause on pos with each clause on neg, stopping as soon as the count
+// passes limit. Working clauses are not tautologies themselves, so the
+// resolvent of C and D is one exactly when D holds the negation of a
+// literal of C other than v's: each C marks its literals once, and each
+// D is then one scan of the marks, with no merge and no buffer.
+func (p *simplifier) countResolvents(pos, neg []int, v Var, limit int) int {
+	n := 0
+	for _, ci := range pos {
+		// A wrapped counter would match stale marks, so it restarts
+		// on a cleared array.
+		if p.mark++; p.mark == 0 {
+			clear(p.marks)
+			p.mark = 1
+		}
+		for _, l := range p.cls[ci].lits {
+			p.marks[l] = p.mark
+		}
+	pairs:
+		for _, di := range neg {
+			for _, l := range p.cls[di].lits {
+				if p.marks[l.Neg()] == p.mark && l.Var() != v {
+					continue pairs
+				}
+			}
+			if n++; n > limit {
+				return n
+			}
+		}
+	}
+	return n
 }
 
 // appendResolvent appends the resolvent of a and b on pivot v to dst and

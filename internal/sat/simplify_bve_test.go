@@ -149,3 +149,76 @@ func TestSimplifyReachesElimFixpoint(t *testing.T) {
 		t.Fatalf("degenerate sample: %d instances reached a fixpoint, %d eliminations", checked, elims)
 	}
 }
+
+// randomWorkingClause draws a clause as the simplifier keeps them:
+// sorted, deduplicated and not a tautology (a complementary pair is
+// dropped whole). Pivot is added to three draws in four.
+func randomWorkingClause(rng *rand.Rand, nv int, pivot Lit) []Lit {
+	c := randomSortedClause(rng, nv)
+	if rng.Intn(4) > 0 {
+		c = append(c, pivot)
+		slices.Sort(c)
+	}
+	c = slices.Compact(c)
+	var out []Lit
+	for _, l := range c {
+		if !slices.Contains(c, l.Neg()) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestResolventCountMatchesMerge checks the mark count against the
+// merge: on seeded random occurrence lists of sorted, non-tautological
+// clauses over a few variables (so shared literals, clashing literals
+// and the pivot itself all turn up), countResolvents returns the number
+// of appendResolvent calls that report ok, or limit+1 once that number
+// passes limit. One simplifier serves every case, so marks left by
+// earlier calls are in place.
+func TestResolventCountMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const nv = 8
+	p := &simplifier{marks: make([]uint32, 2*nv)}
+	taut, kept := 0, 0
+	for iter := 0; iter < 20000; iter++ {
+		v := Var(rng.Intn(nv))
+		p.cls = p.cls[:0]
+		var pos, neg []int
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+			pos = append(pos, len(p.cls))
+			p.cls = append(p.cls, simpClause{lits: randomWorkingClause(rng, nv, PosLit(v))})
+		}
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+			neg = append(neg, len(p.cls))
+			p.cls = append(p.cls, simpClause{lits: randomWorkingClause(rng, nv, NegLit(v))})
+		}
+		want := 0
+		for _, ci := range pos {
+			for _, di := range neg {
+				if _, ok := appendResolvent(nil, p.cls[ci].lits, p.cls[di].lits, v); ok {
+					want++
+					kept++
+				} else {
+					taut++
+				}
+			}
+		}
+		limit := rng.Intn(len(pos)*len(neg) + 2)
+		if got := p.countResolvents(pos, neg, v, limit); got != min(want, limit+1) {
+			t.Fatalf("pivot %d, pos %v, neg %v, limit %d: count %d, merge %d", v, p.clauses(pos), p.clauses(neg), limit, got, want)
+		}
+	}
+	if taut == 0 || kept == 0 {
+		t.Fatalf("degenerate sample: %d tautologies, %d resolvents", taut, kept)
+	}
+}
+
+// clauses returns the literals of the working clauses at idx.
+func (p *simplifier) clauses(idx []int) [][]Lit {
+	var out [][]Lit
+	for _, i := range idx {
+		out = append(out, p.cls[i].lits)
+	}
+	return out
+}
