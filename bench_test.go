@@ -264,26 +264,6 @@ func BenchmarkAblationSATvsBruteForce(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPathsVsBudget measures encoding sensitivity to the
-// path-enumeration cap (DESIGN.md ablation: path disjunction size).
-func BenchmarkAblationPathsVsBudget(b *testing.B) {
-	cfg := mustSynth(b, synth.Params{Bus: powergrid.IEEE57(), Seed: 3, Hierarchy: 3, SecureFraction: 1})
-	for _, maxPaths := range []int{4, 32, 256} {
-		b.Run(fmt.Sprintf("maxpaths%d", maxPaths), func(b *testing.B) {
-			q := scadaver.Query{Property: scadaver.Observability, Combined: true, K: 2}
-			for i := 0; i < b.N; i++ {
-				a, err := core.NewAnalyzer(cfg, core.WithMaxPaths(maxPaths))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := a.Verify(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDeliverySimulation times one full acquisition round of the
 // discrete-event delivery simulator on a 118-bus SCADA system.
 func BenchmarkDeliverySimulation(b *testing.B) {

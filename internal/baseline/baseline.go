@@ -2,9 +2,10 @@
 // implementation of the paper's resiliency checks, used to
 // cross-validate the SAT-based verifier and as the comparison point in
 // the benchmark harness. Where the verifier encodes delivery as a
-// disjunction over enumerated paths, this package decides reachability
-// by breadth-first search over the surviving topology, and decides
-// k-resiliency by exhaustively enumerating failure combinations.
+// reach net in CNF and searches it with a SAT solver, this package
+// decides reachability by breadth-first search over the surviving
+// topology, and decides k-resiliency by exhaustively enumerating
+// failure combinations.
 package baseline
 
 import (
@@ -22,6 +23,7 @@ type Checker struct {
 
 	stateSets [][]int
 	groups    [][]int
+	adj       map[scadanet.DeviceID][]*scadanet.Link
 }
 
 // New builds a checker with the given policy (nil = default policy).
@@ -29,11 +31,17 @@ func New(cfg *scadanet.Config, policy *secpolicy.Policy) *Checker {
 	if policy == nil {
 		policy = secpolicy.Default()
 	}
+	adj := map[scadanet.DeviceID][]*scadanet.Link{}
+	for _, l := range cfg.Net.Links() {
+		adj[l.A] = append(adj[l.A], l)
+		adj[l.B] = append(adj[l.B], l)
+	}
 	return &Checker{
 		cfg:       cfg,
 		policy:    policy,
 		stateSets: cfg.Msrs.StateSets(),
 		groups:    cfg.Msrs.UniqueGroups(),
+		adj:       adj,
 	}
 }
 
@@ -48,11 +56,6 @@ func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool
 		return false
 	}
 	mtu := c.cfg.Net.MTUID()
-	adj := map[scadanet.DeviceID][]*scadanet.Link{}
-	for _, l := range c.cfg.Net.Links() {
-		adj[l.A] = append(adj[l.A], l)
-		adj[l.B] = append(adj[l.B], l)
-	}
 	visited := map[scadanet.DeviceID]bool{ied: true}
 	queue := []scadanet.DeviceID{ied}
 	for len(queue) > 0 {
@@ -61,7 +64,7 @@ func (c *Checker) reaches(ied scadanet.DeviceID, down map[scadanet.DeviceID]bool
 		if at == mtu {
 			return true
 		}
-		for _, l := range adj[at] {
+		for _, l := range c.adj[at] {
 			if l.Down || cut[l.ID] {
 				continue
 			}

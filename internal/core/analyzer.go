@@ -278,11 +278,6 @@ func WithPolicy(p *secpolicy.Policy) Option {
 	return func(a *Analyzer) { a.policy = p }
 }
 
-// WithMaxPaths bounds per-IED path enumeration.
-func WithMaxPaths(n int) Option {
-	return func(a *Analyzer) { a.maxPaths = n }
-}
-
 // WithConflictBudget bounds SAT search per query (0 = unlimited); an
 // exhausted budget yields Status Unsolved. The budget applies to every
 // individual solve: each verification — and each iteration of threat
@@ -347,7 +342,6 @@ func WithProgressEvery(n uint64) Option {
 type Analyzer struct {
 	cfg            *scadanet.Config
 	policy         *secpolicy.Policy
-	maxPaths       int
 	conflictBudget uint64
 	interrupt      func() bool
 	budget         QueryBudget
@@ -396,9 +390,8 @@ func NewAnalyzer(cfg *scadanet.Config, opts ...Option) (*Analyzer, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	a := &Analyzer{
-		cfg:      cfg,
-		policy:   secpolicy.Default(),
-		maxPaths: scadanet.DefaultMaxPaths,
+		cfg:    cfg,
+		policy: secpolicy.Default(),
 	}
 	for _, o := range opts {
 		o(a)
@@ -765,6 +758,14 @@ func pairVar(id scadanet.LinkID) *logic.Formula { return logic.Vf("Pair_%d", id)
 // link (secured properties only).
 func secVar(id scadanet.LinkID) *logic.Formula { return logic.Vf("Sec_%d", id) }
 
+// reachVar names the reach term of a forwarder (RTU or router): at or
+// above "its traffic reaches the MTU" in every model (deliveryNet).
+func reachVar(id scadanet.DeviceID) *logic.Formula { return logic.Vf("Reach_%d", id) }
+
+// delVar names the delivery term of an IED: AssuredDelivery_I, or
+// SecuredDelivery_I in a secured encoding.
+func delVar(id scadanet.DeviceID) *logic.Formula { return logic.Vf("Del_%d", id) }
+
 // encode builds the full SMT-style model of the query from scratch:
 // configuration constraints, the delivery/observability definitions,
 // the failure budget, and the negated property as the goal, with proof
@@ -804,6 +805,16 @@ func (a *Analyzer) encodeStructure(q Query, proof sat.ProofWriter) (*logic.Encod
 // (1-based index). The Sat audit evaluates the same list under the
 // solver's model (auditModel).
 func (a *Analyzer) structureFormulas(q Query) (asserted, delivered []*logic.Formula) {
+	asserted = a.configFormulas(q)
+	for _, g := range a.deliveryNet(q.Property != Observability) {
+		asserted = append(asserted, g.form)
+	}
+	return asserted, a.deliveredTerms()
+}
+
+// configFormulas builds the configuration constraints of the structure:
+// device availability, link status and the static per-hop judgements.
+func (a *Analyzer) configFormulas(q Query) (asserted []*logic.Formula) {
 	secured := q.Property != Observability
 
 	// Device availability: statically down devices are fixed; the MTU
@@ -847,91 +858,114 @@ func (a *Analyzer) structureFormulas(q Query) (asserted, delivered []*logic.Form
 			asserted = append(asserted, logic.Iff(secVar(l.ID), logic.Const(ok)))
 		}
 	}
+	return asserted
+}
 
-	// Delivery definitions per IED.
-	delivery := make(map[scadanet.DeviceID]*logic.Formula, len(a.fieldIEDs))
-	terms := newPathTerms(secured)
-	for _, d := range a.fieldIEDs {
-		delivery[d.ID] = a.deliveryFormula(d.ID, terms)
-	}
-
-	// D_Z / S_Z: measurement Z delivered (securely, for secured
-	// properties) by at least one transmitting IED.
-	delivered = make([]*logic.Formula, a.cfg.Msrs.Len()+1)
+// deliveredTerms returns D_Z / S_Z by 1-based measurement index:
+// measurement Z is delivered (securely, in a secured encoding) by at
+// least one transmitting IED.
+func (a *Analyzer) deliveredTerms() []*logic.Formula {
+	delivered := make([]*logic.Formula, a.cfg.Msrs.Len()+1)
 	for z := 1; z <= a.cfg.Msrs.Len(); z++ {
 		var alts []*logic.Formula
 		for _, ied := range a.senders[z] {
-			alts = append(alts, delivery[ied])
+			alts = append(alts, delVar(ied))
 		}
 		delivered[z] = logic.Or(alts...) // False when unassigned
 	}
-	return asserted, delivered
+	return delivered
 }
 
-// pathTerms memoizes the terms of the delivery formulas of one
-// encoding. Enumerated paths share most of their links and devices, so
-// each link's hop terms (Link, Pair and, if secured, Sec) and each
-// device's Node term are built once rather than once per path through
-// them; the encoder maps a variable to the same literal either way.
-type pathTerms struct {
-	secured bool
-	hops    map[scadanet.LinkID][]*logic.Formula
-	nodes   map[scadanet.DeviceID]*logic.Formula
+// netGroup is one group of the delivery encoding: the reach clauses
+// into one forwarder (key reach:<id>) or the delivery definition of one
+// IED (key del:<id>), with a signature over the incident links it is
+// built from and the named variable it defines.
+type netGroup struct {
+	key, sig, named string
+	form            *logic.Formula
 }
 
-func newPathTerms(secured bool) *pathTerms {
-	return &pathTerms{
-		secured: secured,
-		hops:    make(map[scadanet.LinkID][]*logic.Formula),
-		nodes:   make(map[scadanet.DeviceID]*logic.Formula),
+// deliveryNet encodes AssuredDelivery_I (or SecuredDelivery_I, when
+// secured) for every IED over one reach net that all IEDs share
+// (DESIGN.md §5, "Delivery"). A hop over link l is usable when
+// Link_l ∧ Pair_l (∧ Sec_l, secured) holds.
+//
+//   - Forwarders (RTUs and routers) may form a cyclic mesh, so they get
+//     only the "if" direction of reachability: for each link l from u
+//     into forwarder v, the Horn clause
+//     ¬Node_v ∨ ¬Link_l ∨ ¬Pair_l [∨ ¬Sec_l] ∨ ¬Reach_u ∨ Reach_v, where
+//     Node_v appears only for field devices and Reach_MTU is true.
+//   - IEDs never forward, so their level is defined exactly:
+//     Del_I ↔ Node_I ∧ ∨_l (Link_l ∧ Pair_l [∧ Sec_l] ∧ Reach_u) over
+//     I's links to forwarders and the MTU.
+//
+// Every violation formula is antitone in delivery, and a model's Reach
+// values lie at or above the least fixpoint — the true reachability —
+// so its Del values are at or above true delivery: a Sat verdict is a
+// real threat. The least fixpoint satisfies every clause, so an Unsat
+// verdict is real too. Groups come in device-ID order, the clauses of
+// a forwarder in link order; a forwarder with no clauses has no group.
+func (a *Analyzer) deliveryNet(secured bool) []netGroup {
+	net := a.cfg.Net
+	mtu := net.MTUID()
+	incident := make(map[scadanet.DeviceID][]*scadanet.Link)
+	for _, l := range net.Links() {
+		incident[l.A] = append(incident[l.A], l)
+		incident[l.B] = append(incident[l.B], l)
 	}
-}
-
-// hop returns the terms one hop over link id contributes to a path.
-func (t *pathTerms) hop(id scadanet.LinkID) []*logic.Formula {
-	h, ok := t.hops[id]
-	if !ok {
-		h = []*logic.Formula{linkVar(id), pairVar(id)}
-		if t.secured {
-			h = append(h, secVar(id))
+	hop := func(l *scadanet.Link) []*logic.Formula {
+		if secured {
+			return []*logic.Formula{linkVar(l.ID), pairVar(l.ID), secVar(l.ID)}
 		}
-		t.hops[id] = h
+		return []*logic.Formula{linkVar(l.ID), pairVar(l.ID)}
 	}
-	return h
-}
-
-func (t *pathTerms) node(id scadanet.DeviceID) *logic.Formula {
-	f, ok := t.nodes[id]
-	if !ok {
-		f = nodeVar(id)
-		t.nodes[id] = f
-	}
-	return f
-}
-
-// deliveryFormula builds AssuredDelivery_I (or SecuredDelivery_I, when
-// terms are secured): the IED is available and some enumerated path to
-// the MTU has all links up, all intermediate field devices available,
-// and every hop statically satisfying the pairing (and, if secured, the
-// authentication and integrity) requirements.
-func (a *Analyzer) deliveryFormula(ied scadanet.DeviceID, terms *pathTerms) *logic.Formula {
-	paths := a.cfg.Net.Paths(ied, a.maxPaths)
-	alts := make([]*logic.Formula, 0, len(paths))
-	var conj []*logic.Formula // reused per path: And copies its operands
-	for _, path := range paths {
-		conj = conj[:0]
-		at := ied
-		for _, l := range path {
-			conj = append(conj, terms.hop(l.ID)...)
-			next := l.Other(at)
-			if d := a.cfg.Net.Device(next); d != nil && d.FieldDevice() {
-				conj = append(conj, terms.node(next))
+	var groups []netGroup
+	for _, d := range net.Devices() {
+		if d.Kind == scadanet.MTU {
+			continue
+		}
+		var forms []*logic.Formula
+		var sig strings.Builder
+		for _, l := range incident[d.ID] {
+			u := l.Other(d.ID)
+			if net.Device(u).Kind == scadanet.IED {
+				continue // IEDs do not forward
 			}
-			at = next
+			fmt.Fprintf(&sig, "%d>%d;", l.ID, u)
+			terms := hop(l)
+			if u != mtu {
+				terms = append(terms, reachVar(u))
+			}
+			if d.Kind == scadanet.IED {
+				forms = append(forms, logic.And(terms...))
+				continue
+			}
+			var clause []*logic.Formula
+			if d.FieldDevice() {
+				clause = append(clause, logic.Not(nodeVar(d.ID)))
+			}
+			for _, t := range terms {
+				clause = append(clause, logic.Not(t))
+			}
+			forms = append(forms, logic.Or(append(clause, reachVar(d.ID))...))
 		}
-		alts = append(alts, logic.And(conj...))
+		if d.Kind == scadanet.IED {
+			groups = append(groups, netGroup{
+				key:   fmt.Sprintf("del:%d", d.ID),
+				sig:   sig.String(),
+				named: fmt.Sprintf("Del_%d", d.ID),
+				form:  logic.Iff(delVar(d.ID), logic.And(nodeVar(d.ID), logic.Or(forms...))),
+			})
+		} else if len(forms) > 0 {
+			groups = append(groups, netGroup{
+				key:   fmt.Sprintf("reach:%d", d.ID),
+				sig:   sig.String(),
+				named: fmt.Sprintf("Reach_%d", d.ID),
+				form:  logic.And(forms...),
+			})
+		}
 	}
-	return logic.And(terms.node(ied), logic.Or(alts...))
+	return groups
 }
 
 // budgetFormula encodes the failure budget: the number of additionally

@@ -22,7 +22,7 @@ import (
 // checkpoint fingerprint, so bump it whenever the emitted clauses change
 // meaning: stale snapshots and resumed enumerations are then rejected
 // instead of silently mixed with the new encoding.
-const EncodingVersion = 2
+const EncodingVersion = 3
 
 // WithPresimplify enables CNF preprocessing before search: after a
 // query's constraints are encoded, the solver runs unit propagation to
@@ -57,7 +57,7 @@ func WithEncodingCache(c *EncodingCache) Option {
 
 // EncodingCache holds immutable solver snapshots of structural
 // encodings, keyed by content: a fingerprint of the configuration,
-// security policy and path bound, the query's structure-relevant fields
+// security policy, the query's structure-relevant fields
 // (property, corrupted-measurement budget, link budget), whether
 // preprocessing ran, and EncodingVersion. Entries are built once under
 // a per-entry sync.Once and never mutated afterwards; consumers receive
@@ -203,7 +203,7 @@ func (c *EncodingCache) evictLocked(justAdded string) {
 // evolvability: a lineage moves forward, never forks.
 //
 // aopts must carry the same analyzer options the querying analyzers use
-// (policy, maxPaths, presimplify, faults) — they shape both the
+// (policy, presimplify, faults) — they shape both the
 // fingerprint and the group inventory. On a no-op delta (identical
 // canonical configurations, e.g. a key rotation to the same bits) the
 // entries are reused verbatim and counted as full reuse.
@@ -308,7 +308,7 @@ type snapshotKey struct {
 }
 
 // encodingKey derives the cache key for q's structural encoding. The
-// configuration/policy/maxPaths fingerprint is computed once per
+// configuration/policy fingerprint is computed once per
 // analyzer; the per-query suffix covers exactly the fields
 // encodeStructure and violationFormula consult (property, R, KL) plus
 // the preprocessing mode and encoding version. Certified snapshots
@@ -328,10 +328,10 @@ func (a *Analyzer) encodingKey(q Query, cert bool) (string, error) {
 }
 
 // encodingFingerprint memoizes the analyzer's share of the cache key:
-// the configuration/policy/maxPaths fingerprint. Mutate uses it to pair
+// the configuration/policy fingerprint. Mutate uses it to pair
 // old- and new-configuration entries without a probe query. The
 // fingerprint is also memoized on the configuration (scadanet.Config.Memo)
-// under its policy and path bound, so the analyzers the service builds
+// under its policy, so the analyzers the service builds
 // per request over one configuration version hash it once.
 func (a *Analyzer) encodingFingerprint() (string, error) {
 	if a.encFP == "" {
@@ -340,7 +340,7 @@ func (a *Analyzer) encodingFingerprint() (string, error) {
 			return "", err
 		}
 		fp, err := a.cfg.Memo(key, func() (string, error) {
-			return CampaignFingerprint(a.cfg, "encoding", a.policy, a.maxPaths)
+			return CampaignFingerprint(a.cfg, "encoding", a.policy)
 		})
 		if err != nil {
 			return "", fmt.Errorf("core: encoding cache key: %w", err)
@@ -354,7 +354,7 @@ func (a *Analyzer) encodingFingerprint() (string, error) {
 // memoized on the configuration: the inputs it hashes besides the
 // configuration, as it hashes them.
 func (a *Analyzer) fingerprintKey() (string, error) {
-	extra, err := json.Marshal([]any{a.policy, a.maxPaths})
+	extra, err := json.Marshal([]any{a.policy})
 	if err != nil {
 		return "", fmt.Errorf("core: encoding cache key: %w", err)
 	}

@@ -391,7 +391,7 @@ func TestFingerprintMemoFollowsVersions(t *testing.T) {
 	memoized := func(c *scadanet.Config) string {
 		t.Helper()
 		a := analyzer(c)
-		want, err := CampaignFingerprint(c, "encoding", a.policy, a.maxPaths)
+		want, err := CampaignFingerprint(c, "encoding", a.policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
@@ -77,9 +75,6 @@ const (
 	queryProbeLimit = 256
 )
 
-// delVar names the delivery indirection term of an IED in delta mode.
-func delVar(id scadanet.DeviceID) *logic.Formula { return logic.Vf("Del_%d", id) }
-
 // dzVar names the delivered-measurement indirection term in delta mode.
 func dzVar(z int) *logic.Formula { return logic.Vf("Dz_%d", z) }
 
@@ -146,7 +141,7 @@ type deltaState struct {
 // deltaGroupSpecs computes the desired guarded-group inventory for the
 // analyzer's configuration under the snapshot probe query. Group keys
 // are stable across configurations (dev:<id>, lnk:<id>, pair:<id>,
-// del:<ied>, dz:<z>, card, prop); signatures capture exactly the
+// reach:<id>, del:<ied>, dz:<z>, card, prop); signatures capture exactly the
 // configuration content each group encodes, so the Mutate diff is
 // driven by content, not by guessing which ops touch which groups.
 func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
@@ -237,27 +232,17 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 		}
 	}
 
-	// del:<ied> — the delivery definition, bound to a named indirection
-	// variable so downstream groups reference Del_<ied> instead of the
-	// path formula. The signature hashes the enumerated path set (as
-	// link-ID sequences), so only IEDs whose path set actually changed
-	// re-encode after a topology mutation.
-	for _, d := range a.fieldIEDs {
-		ied := d.ID
-		h := sha256.New()
-		fmt.Fprintf(h, "sec=%t", secured)
-		for _, path := range a.cfg.Net.Paths(ied, a.maxPaths) {
-			for _, l := range path {
-				fmt.Fprintf(h, "|%d", l.ID)
-			}
-			fmt.Fprint(h, ";")
-		}
-		specs[fmt.Sprintf("del:%d", ied)] = groupSpec{
-			sig:   hex.EncodeToString(h.Sum(nil)[:12]),
-			named: []string{fmt.Sprintf("Del_%d", ied)},
-			form: func() *logic.Formula {
-				return logic.Iff(delVar(ied), a.deliveryFormula(ied, newPathTerms(secured)))
-			},
+	// reach:<id> and del:<ied> — the shared reach net and the IEDs'
+	// delivery definitions (deliveryNet). Each group is built from its
+	// device's incident links and names the Reach_/Del_ term it
+	// defines, so downstream groups reference Del_<ied> and a link delta
+	// touches at most the groups of the link's two endpoints.
+	for _, g := range a.deliveryNet(secured) {
+		form := g.form
+		specs[g.key] = groupSpec{
+			sig:   g.sig,
+			named: []string{g.named},
+			form:  func() *logic.Formula { return form },
 		}
 	}
 

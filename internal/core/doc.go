@@ -11,11 +11,16 @@
 //
 // The package encodes the constructs of Sections III-C through III-F:
 //
-//   - AssuredDelivery_I / SecuredDelivery_I — deliveryFormula: an IED's
+//   - AssuredDelivery_I / SecuredDelivery_I — deliveryNet: an IED's
 //     measurements reach the MTU over at least one path whose devices
 //     and links are up, protocols pair hop by hop, and (for the secured
 //     variant) every hop is authenticated and integrity-protected under
-//     the secpolicy rules.
+//     the secpolicy rules. No path is enumerated: one reach net, shared
+//     by all IEDs, gives each forwarder a Reach term with Horn "if"
+//     clauses along every hop into it, and each IED a Del term defined
+//     exactly over its uplinks. A model's Reach terms can only lie above
+//     true reachability, and every violation is antitone in delivery,
+//     so verdicts are exact either way (DESIGN.md §5, "Delivery").
 //   - Observability — violationFormula(Observability): state estimation
 //     stays solvable, i.e. the delivered measurements span all states
 //     (powergrid's StateSet_Z cover); the query searches a failure set

@@ -27,11 +27,28 @@ func (a *Analyzer) DeliveredMeasurements(down map[scadanet.DeviceID]bool, secure
 }
 
 // DeliveredMeasurementsUnder generalizes DeliveredMeasurements to
-// contingencies that include link failures.
+// contingencies that include link failures. Delivery is decided by a
+// breadth-first search from the MTU over the surviving devices and the
+// usable links, independent of the CNF encoding: forwarding passes
+// through RTUs and routers only, and a field device is down when it is
+// statically down or failed in f. A link is usable when it is neither
+// statically down nor failed, both pairings hold and, if secured, the
+// hop authenticates and protects integrity.
 func (a *Analyzer) DeliveredMeasurementsUnder(f Failures, secured bool) map[int]bool {
+	reach := a.cfg.Net.ReachMTU(
+		func(d *scadanet.Device) bool { return !d.FieldDevice() || !d.Down && !f.Devices[d.ID] },
+		func(l *scadanet.Link) bool {
+			if l.Down || f.Links[l.ID] {
+				return false
+			}
+			if protoOK, cryptoOK := a.cfg.Net.HopPairing(l); !protoOK || !cryptoOK {
+				return false
+			}
+			return !secured || a.cfg.Net.HopCaps(l, a.policy).Has(secpolicy.Authenticates|secpolicy.IntegrityProtects)
+		})
 	out := make(map[int]bool)
 	for _, d := range a.fieldIEDs {
-		if !a.delivers(d, f, secured) {
+		if _, ok := reach[d.ID]; !ok {
 			continue
 		}
 		for _, z := range a.cfg.Net.MeasurementsOf(d.ID) {
@@ -39,44 +56,6 @@ func (a *Analyzer) DeliveredMeasurementsUnder(f Failures, secured bool) map[int]
 		}
 	}
 	return out
-}
-
-func (a *Analyzer) delivers(d *scadanet.Device, f Failures, secured bool) bool {
-	if d.Down || f.Devices[d.ID] {
-		return false
-	}
-	for _, path := range a.cfg.Net.Paths(d.ID, a.maxPaths) {
-		if a.pathAlive(d.ID, path, f, secured) {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *Analyzer) pathAlive(from scadanet.DeviceID, path []*scadanet.Link, f Failures, secured bool) bool {
-	at := from
-	for _, l := range path {
-		if l.Down || f.Links[l.ID] {
-			return false
-		}
-		protoOK, cryptoOK := a.cfg.Net.HopPairing(l)
-		if !protoOK || !cryptoOK {
-			return false
-		}
-		if secured {
-			caps := a.cfg.Net.HopCaps(l, a.policy)
-			if !caps.Has(secpolicy.Authenticates | secpolicy.IntegrityProtects) {
-				return false
-			}
-		}
-		next := l.Other(at)
-		nd := a.cfg.Net.Device(next)
-		if nd.FieldDevice() && (nd.Down || f.Devices[next]) {
-			return false
-		}
-		at = next
-	}
-	return true
 }
 
 // EvalObservability evaluates the paper's observability condition under

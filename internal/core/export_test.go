@@ -4,6 +4,7 @@ import (
 	"scadaver/internal/logic"
 	"scadaver/internal/sat"
 	"scadaver/internal/sat/drat"
+	"scadaver/internal/scadanet"
 )
 
 // ViolatedUnder exposes the direct (SAT-free) property evaluator to the
@@ -91,6 +92,105 @@ func (a *Analyzer) ColdVerify(q Query) *Result {
 		res.Vector = &v
 	}
 	return res
+}
+
+// PathVerify is the reference the reach-net delivery encoding is held
+// to: each query encoded with delivery as it was before the reach net —
+// each IED's Del term equivalent to its Node term and a disjunction over
+// every simple path from the IED to the MTU, enumerated without a cap,
+// each path the conjunction of its hops' Link, Pair (and, secured, Sec)
+// terms and its field devices' Node terms. One encoding per structure
+// (property, R, KL) is built from scratch, never simplified, and the
+// queries on it solve their budgets as assumptions, one after another
+// on the same solver (a budget's clauses only bind under its own
+// assumption literal, so they constrain no later query). It returns
+// the verdicts in query order and the number of paths per encoding.
+// Enumeration is exponential in a mesh, so keep it to sparse
+// configurations.
+func (a *Analyzer) PathVerify(qs []Query) ([]sat.Status, int) {
+	encs := map[snapshotKey]*logic.Encoder{}
+	out := make([]sat.Status, len(qs))
+	total := 0
+	for i, q := range qs {
+		key := snapshotKey{q.Property, q.R, q.KL}
+		if encs[key] == nil {
+			probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
+			var n int
+			encs[key], n = a.pathEncoding(probe)
+			total = max(total, n)
+		}
+		out[i] = encs[key].Solve(a.budgetFormula(q))
+	}
+	return out, total
+}
+
+// pathEncoding builds q's path encoding without its failure budget and
+// returns it with the number of paths it enumerated.
+func (a *Analyzer) pathEncoding(q Query) (*logic.Encoder, int) {
+	secured := q.Property != Observability
+	enc := logic.NewEncoder()
+	for _, f := range a.configFormulas(q) {
+		enc.Assert(f)
+	}
+	total := 0
+	for _, d := range a.fieldIEDs {
+		var alts []*logic.Formula
+		var conj []*logic.Formula // reused per path: And copies its operands
+		for _, path := range a.paths(d.ID) {
+			conj = conj[:0]
+			at := d.ID
+			for _, l := range path {
+				conj = append(conj, linkVar(l.ID), pairVar(l.ID))
+				if secured {
+					conj = append(conj, secVar(l.ID))
+				}
+				at = l.Other(at)
+				if a.cfg.Net.Device(at).FieldDevice() {
+					conj = append(conj, nodeVar(at))
+				}
+			}
+			alts = append(alts, logic.And(conj...))
+		}
+		total += len(alts)
+		enc.Assert(logic.Iff(delVar(d.ID), logic.And(nodeVar(d.ID), logic.Or(alts...))))
+	}
+	enc.Assert(a.violationFormula(q, a.deliveredTerms()))
+	return enc, total
+}
+
+// paths enumerates every simple path from the IED to the MTU as a link
+// sequence, depth first, forwarding through RTUs and routers only.
+func (a *Analyzer) paths(ied scadanet.DeviceID) [][]*scadanet.Link {
+	net := a.cfg.Net
+	mtu := net.MTUID()
+	adj := map[scadanet.DeviceID][]*scadanet.Link{}
+	for _, l := range net.Links() {
+		adj[l.A] = append(adj[l.A], l)
+		adj[l.B] = append(adj[l.B], l)
+	}
+	var out [][]*scadanet.Link
+	visited := map[scadanet.DeviceID]bool{ied: true}
+	var path []*scadanet.Link
+	var dfs func(at scadanet.DeviceID)
+	dfs = func(at scadanet.DeviceID) {
+		if at == mtu {
+			out = append(out, append([]*scadanet.Link(nil), path...))
+			return
+		}
+		for _, l := range adj[at] {
+			next := l.Other(at)
+			if visited[next] || next != mtu && net.Device(next).Kind == scadanet.IED {
+				continue
+			}
+			visited[next] = true
+			path = append(path, l)
+			dfs(next)
+			path = path[:len(path)-1]
+			visited[next] = false
+		}
+	}
+	dfs(ied)
+	return out
 }
 
 // ColdEnumerate is the independent reference for threat enumeration:

@@ -192,7 +192,7 @@ func TestTraceCancelledSolveClosesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Property: SecuredObservability, Combined: true, K: 1}
+	q := Query{Property: SecuredObservability, K1: 2}
 	// The solver polls the interrupt hook once per 256 search-loop
 	// iterations (one per decision or conflict), so the query must search
 	// past the first poll or it decides before the hook is ever asked.

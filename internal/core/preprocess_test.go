@@ -93,12 +93,11 @@ func sweepSnapshotDigests(t *testing.T, bus *powergrid.BusSystem, seed int64, di
 // structure the k-sweep campaign uses (observability, secured
 // observability, bad-data detectability with r = 1) on one IEEE-14 and
 // one IEEE-57 configuration. The digests were recorded for
-// EncodingVersion 2 (one-sided counters for positive cardinality
-// atoms); an encoding or preprocessing change that alters the emitted
-// formula must fail here and bump EncodingVersion. They were re-recorded
-// when failed-literal probing began to skip dominated probes: the CNF
-// stayed the same (TestSnapshotCNFGolden), but the saved phases a
-// skipped probe no longer writes move the model of the clone solve.
+// EncodingVersion 3 (delivery over a shared reach net); an encoding or
+// preprocessing change that alters the emitted formula must fail here
+// and bump EncodingVersion. A preprocessing change that keeps the CNF
+// (TestSnapshotCNFGolden) can still move the saved phases, and with
+// them the model of the clone solve.
 func TestSnapshotSimplifyGolden(t *testing.T) {
 	cases := []struct {
 		bus  *powergrid.BusSystem
@@ -106,14 +105,14 @@ func TestSnapshotSimplifyGolden(t *testing.T) {
 		want map[string]string // encoding key suffix → digest
 	}{
 		{powergrid.IEEE14(), 14007, map[string]string{
-			"observability/r0":          "eef32caeb09eb740",
-			"secured-observability/r0":  "1c834369cdbf7327",
-			"bad-data-detectability/r1": "5f9f43d94a2ec7e2",
+			"observability/r0":          "dd67b29c48ef7943",
+			"secured-observability/r0":  "de6de287da221548",
+			"bad-data-detectability/r1": "dc03c4e612997fc4",
 		}},
 		{powergrid.IEEE57(), 57007, map[string]string{
-			"observability/r0":          "929a8e4a39060ea7",
-			"secured-observability/r0":  "f9384cc960652fb9",
-			"bad-data-detectability/r1": "5818b339557bce2c",
+			"observability/r0":          "6fe6565efc86a692",
+			"secured-observability/r0":  "3fbb4d1b5333e17e",
+			"bad-data-detectability/r1": "71f0505501b1b6dd",
 		}},
 	}
 	for _, tc := range cases {
@@ -129,9 +128,8 @@ func TestSnapshotSimplifyGolden(t *testing.T) {
 }
 
 // TestSnapshotCNFGolden pins the simplified CNF alone (cnfDigest) of the
-// snapshots TestSnapshotSimplifyGolden covers, plus those of the
-// path-rich IEEE-57 seed 57009, where variable elimination does the
-// most work. It solves nothing, so a preprocessing change that keeps
+// snapshots TestSnapshotSimplifyGolden covers, plus those of IEEE-57
+// seed 57009, the campaign's richest mesh. It solves nothing, so a preprocessing change that keeps
 // the formula but moves saved phases (and with them the model a solve
 // finds) passes here and fails only TestSnapshotSimplifyGolden.
 func TestSnapshotCNFGolden(t *testing.T) {
@@ -141,19 +139,19 @@ func TestSnapshotCNFGolden(t *testing.T) {
 		want map[string]string // encoding key suffix → digest
 	}{
 		{powergrid.IEEE14(), 14007, map[string]string{
-			"observability/r0":          "f437e92d741c5998",
-			"secured-observability/r0":  "709961cb5ec3317a",
-			"bad-data-detectability/r1": "e07312199ce72363",
+			"observability/r0":          "4874f45b54816cee",
+			"secured-observability/r0":  "38c0ab96c7fb1ee9",
+			"bad-data-detectability/r1": "e8503f76e99fbb74",
 		}},
 		{powergrid.IEEE57(), 57007, map[string]string{
-			"observability/r0":          "00ef1ce9e1fa8824",
-			"secured-observability/r0":  "19095ee435b32a5a",
-			"bad-data-detectability/r1": "0b5cbee182c3759d",
+			"observability/r0":          "2f28c680935be843",
+			"secured-observability/r0":  "4a179ad86c4bb089",
+			"bad-data-detectability/r1": "f11b5749bc3d45e2",
 		}},
 		{powergrid.IEEE57(), 57009, map[string]string{
-			"observability/r0":          "c0e01411f35104e3",
-			"secured-observability/r0":  "524612bcbfbb7273",
-			"bad-data-detectability/r1": "46ee6844576e8389",
+			"observability/r0":          "1fa62c162dce29c7",
+			"secured-observability/r0":  "ffca9e07a8003e72",
+			"bad-data-detectability/r1": "635cf5f1273efef2",
 		}},
 	}
 	for _, tc := range cases {

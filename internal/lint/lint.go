@@ -184,8 +184,9 @@ func Check(cfg *scadanet.Config, policy *secpolicy.Policy) *Report {
 
 	// Reachability and measurement assignment.
 	assigned := map[int][]scadanet.DeviceID{}
+	reach := cfg.Net.ReachMTU(nil, nil)
 	for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-		if len(cfg.Net.Paths(d.ID, 0)) == 0 {
+		if _, ok := reach[d.ID]; !ok {
 			add(Finding{
 				Code: CodeUnreachableIED, Severity: Error, Device: d.ID,
 				Message: fmt.Sprintf("IED %d has no path to the MTU", d.ID),
@@ -218,29 +219,14 @@ func Check(cfg *scadanet.Config, policy *secpolicy.Policy) *Report {
 	}
 
 	// Redundancy: RTUs that are articulation points for some IED's
-	// delivery (their failure disconnects the IED entirely).
+	// delivery (their failure disconnects the IED entirely): a vertex
+	// cut of one between a reachable IED and the MTU.
 	for _, r := range cfg.Net.DevicesOfKind(scadanet.RTU) {
+		without := cfg.Net.ReachMTU(func(d *scadanet.Device) bool { return d.ID != r.ID }, nil)
 		var cut []scadanet.DeviceID
 		for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-			paths := cfg.Net.Paths(d.ID, 0)
-			if len(paths) == 0 {
-				continue
-			}
-			all := true
-			for _, p := range paths {
-				through := false
-				for _, l := range p {
-					if l.A == r.ID || l.B == r.ID {
-						through = true
-						break
-					}
-				}
-				if !through {
-					all = false
-					break
-				}
-			}
-			if all {
+			_, before := reach[d.ID]
+			if _, after := without[d.ID]; before && !after {
 				cut = append(cut, d.ID)
 			}
 		}
@@ -255,7 +241,7 @@ func Check(cfg *scadanet.Config, policy *secpolicy.Policy) *Report {
 	// Link redundancy: IEDs whose delivery hangs on a single link
 	// (min-cut 1 over the usable topology).
 	for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-		if len(cfg.Net.Paths(d.ID, 0)) == 0 {
+		if _, ok := reach[d.ID]; !ok {
 			continue // already reported as unreachable
 		}
 		if c := cfg.Net.LinkMinCut(d.ID, nil); c == 1 {

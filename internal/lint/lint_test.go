@@ -148,6 +148,58 @@ func TestSinglePointRTU(t *testing.T) {
 	}
 }
 
+// TestDenseMeshRTUWithBypassNotSinglePoint builds an IED whose first
+// uplink enters a complete mesh of ten RTUs (over 100,000 simple paths
+// to the MTU) and whose second uplink bypasses the mesh. No RTU is then
+// a single point of failure, however many paths run through the mesh;
+// without the bypass, the entry and exit RTUs of the mesh are.
+func TestDenseMeshRTUWithBypassNotSinglePoint(t *testing.T) {
+	build := func(bypass bool) *scadanet.Config {
+		net := scadanet.NewNetwork()
+		devs := []scadanet.Device{{ID: 1, Kind: scadanet.IED}, {ID: 3, Kind: scadanet.RTU}, {ID: 99, Kind: scadanet.MTU}}
+		mesh := []scadanet.DeviceID{2, 10, 11, 12, 13, 14, 15, 16, 17, 18}
+		for _, id := range mesh {
+			devs = append(devs, scadanet.Device{ID: id, Kind: scadanet.RTU})
+		}
+		for _, d := range devs {
+			if _, err := net.AddDevice(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		link := func(a, b scadanet.DeviceID) {
+			if _, err := net.AddLink(a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		link(1, 2)
+		for i, a := range mesh {
+			for _, b := range mesh[i+1:] {
+				link(a, b)
+			}
+		}
+		link(18, 99)
+		if bypass {
+			link(1, 3)
+			link(3, 99)
+		}
+		ms, err := powergrid.FromJacobian([][]float64{{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.AssignMeasurements(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		return &scadanet.Config{Msrs: ms, Net: net}
+	}
+	if got := Check(build(true), nil).ByCode(CodeSinglePointRTU); len(got) != 0 {
+		t.Fatalf("bypassed mesh RTUs flagged: %v", got)
+	}
+	got := Check(build(false), nil).ByCode(CodeSinglePointRTU)
+	if len(got) != 2 || got[0].Device != 2 || got[1].Device != 18 {
+		t.Fatalf("single-point findings without the bypass = %v, want RTUs 2 and 18", got)
+	}
+}
+
 func TestCriticalMeasurement(t *testing.T) {
 	net := scadanet.NewNetwork()
 	for _, d := range []scadanet.Device{

@@ -442,20 +442,22 @@ func atMostRoom(n, k int) sat.Room {
 
 // Assert requires f to hold in every model.
 func (e *Encoder) Assert(f *Formula) {
-	// Top-level conjunctions are split to keep the CNF shallow.
-	if f.kind == kindAnd {
+	// Top-level conjunctions are split to keep the CNF shallow, and a
+	// top-level disjunction is one clause over its kids' literals.
+	switch f.kind {
+	case kindAnd:
 		for _, k := range f.kids {
 			e.Assert(k)
 		}
-		return
-	}
-	if f.kind == kindConst {
+	case kindConst:
 		if !f.b {
 			e.mustAdd() // empty clause: unsat
 		}
-		return
+	case kindOr:
+		e.mustAdd(e.impliedKidLits(f)...)
+	default:
+		e.mustAdd(e.Implying(f))
 	}
-	e.mustAdd(e.Implying(f))
 }
 
 // AssertNot requires f to be false in every model.
@@ -470,22 +472,24 @@ func (e *Encoder) AssertNot(f *Formula) { e.mustAdd(e.Lit(f).Neg()) }
 // encoding cache's mechanism for disabling stale constraint groups
 // without rebuilding the CNF (DESIGN.md §16). Top-level conjunctions
 // are split like Assert's, so each conjunct gets its own short guarded
-// clause instead of one deep Tseitin tree. The body is encoded by
-// Implying; the selector, which occurs negated, by Lit.
+// clause instead of one deep Tseitin tree, and a top-level disjunction
+// is one guarded clause. The body is encoded by Implying; the
+// selector, which occurs negated, by Lit.
 func (e *Encoder) AssertGuarded(sel, f *Formula) {
-	if f.kind == kindAnd {
+	switch f.kind {
+	case kindAnd:
 		for _, k := range f.kids {
 			e.AssertGuarded(sel, k)
 		}
-		return
-	}
-	if f.kind == kindConst {
+	case kindConst:
 		if !f.b {
 			e.Assert(Not(sel))
 		}
-		return
+	case kindOr:
+		e.mustAdd(append([]sat.Lit{e.Lit(sel).Neg()}, e.impliedKidLits(f)...)...)
+	default:
+		e.mustAdd(e.Lit(sel).Neg(), e.Implying(f))
 	}
-	e.mustAdd(e.Lit(sel).Neg(), e.Implying(f))
 }
 
 // Solve decides the asserted constraints, optionally under assumption

@@ -149,20 +149,8 @@ func TestLinkMinCutAgreesWithDirectCutSearch(t *testing.T) {
 	links := n.Links()
 
 	reachable := func(ied DeviceID, removed map[LinkID]bool) bool {
-		paths := n.Paths(ied, 0)
-		for _, p := range paths {
-			ok := true
-			for _, l := range p {
-				if removed[l.ID] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-		return false
+		_, ok := n.ReachMTU(nil, func(l *Link) bool { return !removed[l.ID] })[ied]
+		return ok
 	}
 	existsCut := func(ied DeviceID, size int) bool {
 		removed := map[LinkID]bool{}

@@ -82,8 +82,7 @@ func (d Delta) String() string {
 // Dirty is the cone of a delta: the devices and links whose constraints
 // a delta-aware encoder must re-encode. Topology reports whether link
 // endpoints changed (link-add / link-remove), which additionally
-// invalidates delivery-path constraints downstream of the touched
-// links.
+// changes the delivery constraints of the touched links' endpoints.
 type Dirty struct {
 	Devices  []DeviceID `json:"devices,omitempty"`
 	Links    []LinkID   `json:"links,omitempty"`

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"scadaver/internal/secpolicy"
 )
@@ -17,25 +17,9 @@ type Network struct {
 	msrOf   map[DeviceID][]int // IED -> 1-based measurement IDs
 	nextLnk LinkID
 
-	// Path-enumeration memos, guarded by pathMu and invalidated by the
-	// link mutators. The delta cache re-derives every IED's path
-	// signature per mutation, so without the memo each evolve rebuilds
-	// the adjacency index and re-runs the DFS once per IED — the single
-	// hottest non-solver cost of an incremental re-verify. Callers must
-	// treat returned path slices as read-only (Paths already demanded
-	// that implicitly: the inner link pointers are shared either way).
-	pathMu   sync.Mutex
-	adjMemo  map[DeviceID][]*Link
-	pathMemo map[pathKey][][]*Link
 	// gen counts the mutations made through the methods, so that
 	// Config.Memo can tell a network changed since it derived a value.
-	gen uint64
-}
-
-// pathKey identifies one memoized Paths result.
-type pathKey struct {
-	ied      DeviceID
-	maxPaths int
+	gen atomic.Uint64
 }
 
 // Validation errors.
@@ -64,32 +48,15 @@ func (n *Network) AddDevice(d Device) (*Device, error) {
 	cp.Protocols = append([]Protocol(nil), d.Protocols...)
 	cp.Profiles = append([]secpolicy.Profile(nil), d.Profiles...)
 	n.devices[d.ID] = &cp
-	n.invalidatePaths()
+	n.touch()
 	return &cp, nil
 }
 
-// invalidatePaths drops the path memos after a topology mutation and
-// counts the mutation.
-func (n *Network) invalidatePaths() {
-	n.pathMu.Lock()
-	n.adjMemo, n.pathMemo = nil, nil
-	n.gen++
-	n.pathMu.Unlock()
-}
-
-// touch counts a mutation that leaves the paths as they are.
-func (n *Network) touch() {
-	n.pathMu.Lock()
-	n.gen++
-	n.pathMu.Unlock()
-}
+// touch counts a mutation.
+func (n *Network) touch() { n.gen.Add(1) }
 
 // generation returns the number of mutations counted.
-func (n *Network) generation() uint64 {
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	return n.gen
-}
+func (n *Network) generation() uint64 { return n.gen.Load() }
 
 // AddLink registers a link between two existing devices and returns it.
 func (n *Network) AddLink(a, b DeviceID, profiles ...secpolicy.Profile) (*Link, error) {
@@ -102,7 +69,7 @@ func (n *Network) AddLink(a, b DeviceID, profiles ...secpolicy.Profile) (*Link, 
 	n.nextLnk++
 	l := &Link{ID: n.nextLnk, A: a, B: b, Profiles: append([]secpolicy.Profile(nil), profiles...)}
 	n.links = append(n.links, l)
-	n.invalidatePaths()
+	n.touch()
 	return l, nil
 }
 
@@ -175,7 +142,7 @@ func (n *Network) RemoveLink(id LinkID) bool {
 	for i, l := range n.links {
 		if l.ID == id {
 			n.links = append(n.links[:i], n.links[i+1:]...)
-			n.invalidatePaths()
+			n.touch()
 			return true
 		}
 	}
@@ -277,83 +244,45 @@ func (n *Network) HopPairing(l *Link) (protoOK, cryptoOK bool) {
 	return protoOK, cryptoOK
 }
 
-// Paths enumerates simple communication paths from the given IED to the
-// MTU as link sequences. Intermediate nodes must be RTUs or routers.
-// maxPaths bounds the enumeration (0 means DefaultMaxPaths). Results
-// (and the adjacency index behind them) are memoized until the next
-// topology mutation; callers must treat them as read-only.
-func (n *Network) Paths(ied DeviceID, maxPaths int) [][]*Link {
-	if maxPaths <= 0 {
-		maxPaths = DefaultMaxPaths
-	}
-	start := n.devices[ied]
-	if start == nil || start.Kind != IED {
-		return nil
-	}
-	key := pathKey{ied: ied, maxPaths: maxPaths}
-	n.pathMu.Lock()
-	if paths, ok := n.pathMemo[key]; ok {
-		n.pathMu.Unlock()
-		return paths
-	}
-	n.pathMu.Unlock()
-	// A miss only: finding the MTU scans every device.
+// ReachMTU returns the hop count to the MTU of every device whose
+// traffic reaches it: 0 for the MTU, the breadth-first distance for the
+// RTUs and routers connected to it through RTUs and routers (IEDs do
+// not forward), and for an IED one more than its nearest such
+// neighbor. Only devices for which alive returns true and links for
+// which usable returns true take part; a nil predicate admits all, so
+// ReachMTU(nil, nil) answers a question of topology alone.
+func (n *Network) ReachMTU(alive func(*Device) bool, usable func(*Link) bool) map[DeviceID]int {
 	mtu := n.MTUID()
 	if mtu == 0 {
 		return nil
 	}
-	n.pathMu.Lock()
-	if n.adjMemo == nil {
-		adj := make(map[DeviceID][]*Link, len(n.devices))
-		for _, l := range n.links {
+	ok := func(d *Device) bool { return alive == nil || alive(d) }
+	adj := make(map[DeviceID][]*Link, len(n.devices))
+	for _, l := range n.links {
+		if usable == nil || usable(l) {
 			adj[l.A] = append(adj[l.A], l)
 			adj[l.B] = append(adj[l.B], l)
 		}
-		n.adjMemo = adj
 	}
-	adj := n.adjMemo
-	n.pathMu.Unlock()
-
-	var out [][]*Link
-	visited := map[DeviceID]bool{ied: true}
-	var path []*Link
-	var dfs func(at DeviceID)
-	dfs = func(at DeviceID) {
-		if len(out) >= maxPaths {
-			return
-		}
-		if at == mtu {
-			out = append(out, append([]*Link(nil), path...))
-			return
-		}
+	hops := map[DeviceID]int{mtu: 0}
+	queue := []DeviceID{mtu}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
 		for _, l := range adj[at] {
 			next := l.Other(at)
-			if visited[next] {
+			if _, seen := hops[next]; seen {
 				continue
 			}
 			nd := n.devices[next]
-			// Intermediate hops go through RTUs and routers only; other
-			// IEDs do not forward traffic.
-			if next != mtu && nd.Kind != RTU && nd.Kind != Router {
+			if !ok(nd) {
 				continue
 			}
-			visited[next] = true
-			path = append(path, l)
-			dfs(next)
-			path = path[:len(path)-1]
-			visited[next] = false
+			hops[next] = hops[at] + 1
+			if nd.Kind != IED {
+				queue = append(queue, next)
+			}
 		}
 	}
-	dfs(ied)
-	n.pathMu.Lock()
-	if n.pathMemo == nil {
-		n.pathMemo = make(map[pathKey][][]*Link)
-	}
-	n.pathMemo[key] = out
-	n.pathMu.Unlock()
-	return out
+	return hops
 }
-
-// DefaultMaxPaths caps per-IED path enumeration. SCADA topologies are
-// tree-like with a handful of cross links, so this is generous.
-const DefaultMaxPaths = 256

@@ -137,36 +137,43 @@ func TestSharesProtocol(t *testing.T) {
 	}
 }
 
-func TestPathsEnumeration(t *testing.T) {
+func TestReachMTU(t *testing.T) {
 	n := buildTiny(t)
-	paths := n.Paths(1, 0)
-	// IED1: 1-10-20 and 1-10-11-20.
-	if len(paths) != 2 {
-		t.Fatalf("IED1 paths = %d, want 2", len(paths))
+	// IED1: 1-10-20; IED2: 2-11-20.
+	hops := n.ReachMTU(nil, nil)
+	want := map[DeviceID]int{20: 0, 10: 1, 11: 1, 1: 2, 2: 2}
+	if len(hops) != len(want) {
+		t.Fatalf("hops = %v, want %v", hops, want)
 	}
-	for _, p := range paths {
-		if p[0].Connects(1, 10) {
-			continue
-		}
-		t.Fatalf("path does not start at IED1's uplink: %v", p)
-	}
-	// Paths never route through another IED.
-	for _, p := range paths {
-		for _, l := range p {
-			if (l.A == 2 || l.B == 2) && !(l.A == 1 || l.B == 1) {
-				t.Fatalf("path routes through IED2: %v", p)
-			}
+	for id, h := range want {
+		if got, ok := hops[id]; !ok || got != h {
+			t.Fatalf("hops = %v, want %v", hops, want)
 		}
 	}
-	if got := n.Paths(99, 0); got != nil {
-		t.Fatal("unknown IED should yield no paths")
+	// RTU 10 is IED1's only uplink; IED2 does not need it.
+	hops = n.ReachMTU(func(d *Device) bool { return d.ID != 10 }, nil)
+	if _, ok := hops[1]; ok {
+		t.Fatalf("IED1 reaches without its RTU: %v", hops)
 	}
-	if got := n.Paths(10, 0); got != nil {
-		t.Fatal("non-IED should yield no paths")
+	if hops[2] != 2 {
+		t.Fatalf("IED2 hops = %d without RTU 10", hops[2])
 	}
-	// maxPaths caps enumeration.
-	if got := n.Paths(1, 1); len(got) != 1 {
-		t.Fatalf("maxPaths=1 returned %d", len(got))
+	// Without link 10-20, IED1 goes around over RTU 11.
+	direct := n.LinkBetween(10, 20)
+	hops = n.ReachMTU(nil, func(l *Link) bool { return l != direct })
+	if hops[1] != 3 {
+		t.Fatalf("IED1 hops = %d without link 10-20, want 3", hops[1])
+	}
+	// IEDs do not forward: a link between the IEDs carries nothing.
+	if _, err := n.AddLink(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	hops = n.ReachMTU(func(d *Device) bool { return d.ID != 10 }, nil)
+	if _, ok := hops[1]; ok {
+		t.Fatalf("IED1 reaches through IED2: %v", hops)
+	}
+	if NewNetwork().ReachMTU(nil, nil) != nil {
+		t.Fatal("a network without an MTU reaches nothing")
 	}
 }
 
@@ -228,9 +235,10 @@ func TestRemoveLink(t *testing.T) {
 	if n.RemoveLink(l.ID) {
 		t.Fatal("double removal succeeded")
 	}
-	// IED1 now has a single path.
-	if got := n.Paths(1, 0); len(got) != 1 {
-		t.Fatalf("paths after removal = %d", len(got))
+	// IED1 no longer goes around over RTU 11.
+	direct := n.LinkBetween(10, 20)
+	if _, ok := n.ReachMTU(nil, func(l *Link) bool { return l != direct })[1]; ok {
+		t.Fatal("IED1 reaches the MTU around a removed link")
 	}
 }
 
@@ -275,8 +283,9 @@ func TestCaseStudyConfig(t *testing.T) {
 			}
 		}
 		// Every IED reaches the MTU.
+		hops := cfg.Net.ReachMTU(nil, nil)
 		for _, d := range cfg.Net.DevicesOfKind(IED) {
-			if len(cfg.Net.Paths(d.ID, 0)) == 0 {
+			if _, ok := hops[d.ID]; !ok {
 				t.Fatalf("IED %d unreachable", d.ID)
 			}
 		}

@@ -46,8 +46,9 @@ func TestGenerateBasic(t *testing.T) {
 		}
 	}
 	// Every IED reaches the MTU.
+	hops := cfg.Net.ReachMTU(nil, nil)
 	for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-		if len(cfg.Net.Paths(d.ID, 0)) == 0 {
+		if _, ok := hops[d.ID]; !ok {
 			t.Fatalf("IED %d unreachable", d.ID)
 		}
 	}
@@ -102,16 +103,11 @@ func TestGenerateHierarchyDepth(t *testing.T) {
 		// The shortest path of every IED has exactly h intermediate
 		// RTUs (IEDs attach to deepest-level RTUs; the RTU tree has h
 		// levels).
+		hops := cfg.Net.ReachMTU(nil, nil)
 		for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-			paths := cfg.Net.Paths(d.ID, 0)
-			if len(paths) == 0 {
+			shortest, ok := hops[d.ID]
+			if !ok {
 				t.Fatalf("h=%d: IED %d unreachable", h, d.ID)
-			}
-			shortest := len(paths[0])
-			for _, p := range paths {
-				if len(p) < shortest {
-					shortest = len(p)
-				}
 			}
 			// Path links = intermediate RTUs + 1 (RTU→...→MTU).
 			if shortest != h+1 {
@@ -142,8 +138,7 @@ func TestGenerateSecureFractionExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-		paths := cfg.Net.Paths(d.ID, 0)
-		l := paths[0][0]
+		l := uplink(cfg, d.ID)
 		if len(l.Profiles) != 2 {
 			t.Fatalf("IED %d uplink not fully secured: %v", d.ID, l.Profiles)
 		}
@@ -156,7 +151,7 @@ func TestGenerateSecureFractionExtremes(t *testing.T) {
 	}
 	weak := 0
 	for _, d := range weakCfg.Net.DevicesOfKind(scadanet.IED) {
-		l := weakCfg.Net.Paths(d.ID, 0)[0][0]
+		l := uplink(weakCfg, d.ID)
 		if len(l.Profiles) < 2 {
 			weak++
 		}
@@ -164,6 +159,16 @@ func TestGenerateSecureFractionExtremes(t *testing.T) {
 	if weak == 0 {
 		t.Fatal("SecureFraction<0 produced no weak uplinks")
 	}
+}
+
+// uplink returns the first link of the IED.
+func uplink(cfg *scadanet.Config, ied scadanet.DeviceID) *scadanet.Link {
+	for _, l := range cfg.Net.Links() {
+		if l.A == ied || l.B == ied {
+			return l
+		}
+	}
+	return nil
 }
 
 func TestGenerateErrors(t *testing.T) {
@@ -202,8 +207,9 @@ func TestQuickGeneratedConfigsValid(t *testing.T) {
 		if cfg.Validate() != nil {
 			return false
 		}
+		hops := cfg.Net.ReachMTU(nil, nil)
 		for _, d := range cfg.Net.DevicesOfKind(scadanet.IED) {
-			if len(cfg.Net.Paths(d.ID, 0)) == 0 {
+			if _, ok := hops[d.ID]; !ok {
 				return false
 			}
 		}
