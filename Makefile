@@ -26,21 +26,18 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Record the reference benchmark campaign (resiliency boundary plus
-# parallel k-sweep over IEEE 14/30/57, and an IEEE-118 boundary-only
-# row) as machine-readable JSON, so successive commits can be compared
-# number-by-number. Recorded with preprocessing and the encoding cache,
-# one serial search per query. -certify adds a ksweep-certify row per
-# system (the §R3 certification-overhead ablation) while leaving the
-# base rows uncertified and comparable to earlier records.
-# The record also carries the mutation-storm rows (mutate-incremental
-# vs mutate-cold on IEEE-57): the delta-aware re-verification headline.
-# BENCH_pr2.json is the retained pre-preprocessing baseline,
-# BENCH_pr5.json the pre-galloping-boundary-search one,
-# BENCH_pr6.json the last pre-certification record, and
-# BENCH_pr9.json the last record before the delta cache.
+# Record the repository benchmark (bench/, workloads in BENCHMARK.json):
+# each of the four workloads for 20 s on seeds 0-4, one JSON line per
+# run, into .bench_build/record-<commit>.jsonl (replaced if present).
+# The name comes from HEAD, so two commits' records sit side by side:
+#   bash bench/run.sh -compare .bench_build/record-OLD.jsonl .bench_build/record-NEW.jsonl
 bench-record:
-	$(GO) run ./cmd/scada-bench -record BENCH_pr10.json -inputs 1 -runs 2 -maxk 4 -presimplify -certify
+	out=.bench_build/record-$$(git rev-parse --short HEAD).jsonl; rm -f $$out; \
+	for w in campaign-cold-ieee57 boundary-ieee118 certify-ieee57 serve-mutate-ieee57; do \
+		for s in 0 1 2 3 4; do \
+			bash bench/run.sh --workload $$w --seed $$s --seconds 20 --trace 0 -out $$out || exit 1; \
+		done; \
+	done
 
 # The chaos pass: the fault-tolerance suite (deterministic fault
 # injection, budget degradation, checkpoint/resume, panic isolation)

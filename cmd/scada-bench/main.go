@@ -9,13 +9,10 @@
 //	scada-bench -fig all
 //	scada-bench -fig sweep [-bus ieee57] [-maxk 8] [-workers N]
 //	scada-bench -fig mutate [-bus ieee57] [-steps 10]
-//	scada-bench -record BENCH_pr2.json [-maxk 4]
 //
-// -record FILE runs the recorded benchmark campaign (boundary + k-sweep
-// over IEEE 14/30/57) and writes the machine-readable per-figure wall
-// time, solve time and solver conflicts to FILE, atomically (the file
-// is replaced only once the campaign finished writing it). -trace,
-// -metrics and -pprof mirror scada-analyzer's observability flags.
+// -trace, -metrics and -pprof mirror scada-analyzer's observability
+// flags. Speed comparisons between commits use the benchmark under
+// bench/ (make bench-record) instead.
 //
 // Fault tolerance (see DESIGN.md §9): -deadline and -retries bound each
 // individual verification, degrading exhausted queries to UNSOLVED rows
@@ -25,14 +22,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"scadaver/internal/atomicio"
 	"scadaver/internal/core"
 	"scadaver/internal/experiments"
 	"scadaver/internal/obs"
@@ -55,9 +49,7 @@ func run(args []string, w io.Writer) (retErr error) {
 		workers    = fs.Int("workers", 0, "verification worker-pool size (0 = GOMAXPROCS)")
 		bus        = fs.String("bus", "ieee57", "bus system for -fig sweep and -fig mutate")
 		steps      = fs.Int("steps", 10, "random single-link deltas for -fig mutate")
-		maxK       = fs.Int("maxk", 8, "largest failure budget for -fig sweep and -record")
-		record     = fs.String("record", "", "run the recorded benchmark campaign and write BENCH JSON to this file")
-		systems    = fs.String("systems", "", "for -record: comma-separated bus systems (empty = ieee14,ieee30,ieee57 plus an ieee118 boundary-only row)")
+		maxK       = fs.Int("maxk", 8, "largest failure budget for -fig sweep")
 		traceFile  = fs.String("trace", "", "write a JSONL phase trace of every verification to this file")
 		metricsOut = fs.String("metrics", "", "write campaign metrics to this file (.json extension = JSON, otherwise Prometheus text)")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address while running")
@@ -97,25 +89,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		opt.Queries = obs.NewQueryRegistry(0, 0)
 		stopWatch := obs.WatchProgress(os.Stderr, opt.Queries, *watch)
 		defer stopWatch()
-	}
-
-	if *record != "" {
-		opt.MaxK = *maxK
-		if *systems != "" {
-			opt.Systems = strings.Split(*systems, ",")
-		}
-		run, err := experiments.BenchRecord(opt)
-		if err != nil {
-			return err
-		}
-		if err := atomicio.WriteFile(*record, func(bw *bufio.Writer) error {
-			return experiments.WriteBenchRun(bw, run)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "benchmark record (%d figures, %.2f ms total) written to %s\n",
-			len(run.Figures), run.TotalWallMs, *record)
-		return nil
 	}
 
 	want := func(name string) bool { return *fig == name || *fig == "all" }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"scadaver/internal/experiments"
 )
 
 func TestRunCase(t *testing.T) {
@@ -53,33 +51,25 @@ func TestRunUnknownFigure(t *testing.T) {
 	}
 }
 
-// TestRunRecord drives -record end to end on the two smallest systems
-// and checks the BENCH JSON artifact.
-func TestRunRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+// TestRunMutateMetrics checks -metrics on the mutation storm: both legs
+// and the delta cache record into the command's registry, so the file
+// holds the campaign's query counter, not just the build info.
+func TestRunMutateMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.prom")
 	var sb strings.Builder
-	err := run([]string{"-record", path, "-inputs", "1", "-runs", "1", "-maxk", "1",
-		"-systems", "ieee14,ieee30"}, &sb)
-	if err != nil {
+	if err := run([]string{"-fig", "mutate", "-bus", "ieee14", "-steps", "1", "-metrics", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "benchmark record") {
+	if !strings.Contains(sb.String(), "mutation storm") {
 		t.Fatalf("output: %s", sb.String())
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run2 experiments.BenchRun
-	if err := json.Unmarshal(raw, &run2); err != nil {
-		t.Fatalf("record is not valid JSON: %v", err)
-	}
-	if run2.Schema != experiments.BenchSchema || len(run2.Figures) != 4 {
-		t.Fatalf("record = %+v, want schema %s with 4 figures", run2, experiments.BenchSchema)
-	}
-	for _, f := range run2.Figures {
-		if f.WallMs <= 0 || f.SolveMs <= 0 || f.Queries <= 0 {
-			t.Fatalf("empty figure in record: %+v", f)
+	for _, want := range []string{"scadaver_queries_total", "scadaver_delta_reuse_total"} {
+		if !strings.Contains(string(raw), want) {
+			t.Fatalf("metrics file lacks %s:\n%s", want, raw)
 		}
 	}
 }

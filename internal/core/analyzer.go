@@ -376,6 +376,8 @@ type Analyzer struct {
 	stateSets [][]int
 	groups    [][]int
 	senders   map[int][]scadanet.DeviceID // measurement (1-based) -> IEDs
+	// hops memoizes every link's static usability (see hopJudgements).
+	hops map[scadanet.LinkID]hopJudgement
 }
 
 // Verification errors.
@@ -849,16 +851,46 @@ func (a *Analyzer) configFormulas(q Query) (asserted []*logic.Formula) {
 	// properties Authenticated/IntegrityProtected). This keeps the
 	// secured model strictly larger than the plain one — the effect the
 	// paper observes in Fig. 5(b).
+	hops := a.hopJudgements()
 	for _, l := range a.cfg.Net.Links() {
-		protoOK, cryptoOK := a.cfg.Net.HopPairing(l)
-		asserted = append(asserted, logic.Iff(pairVar(l.ID), logic.Const(protoOK && cryptoOK)))
+		h := hops[l.ID]
+		asserted = append(asserted, logic.Iff(pairVar(l.ID), logic.Const(h.paired())))
 		if secured {
-			caps := a.cfg.Net.HopCaps(l, a.policy)
-			ok := caps.Has(secpolicy.Authenticates | secpolicy.IntegrityProtects)
-			asserted = append(asserted, logic.Iff(secVar(l.ID), logic.Const(ok)))
+			asserted = append(asserted, logic.Iff(secVar(l.ID), logic.Const(h.secOK)))
 		}
 	}
 	return asserted
+}
+
+// hopJudgement is the static usability of one link: the paper's
+// CommProtoPairing and CryptoPropPairing hop conditions, and whether the
+// hop authenticates and protects integrity under the analyzer's policy
+// (the secured properties' extra condition).
+type hopJudgement struct {
+	protoOK, cryptoOK, secOK bool
+}
+
+// paired reports whether both pairing conditions hold.
+func (h hopJudgement) paired() bool { return h.protoOK && h.cryptoOK }
+
+// hopJudgements returns the judgement of every link of the
+// configuration, computed on first use: the judgements depend only on
+// the configuration and the policy, and the encoders and the direct
+// evaluator all read them from here.
+func (a *Analyzer) hopJudgements() map[scadanet.LinkID]hopJudgement {
+	if a.hops == nil {
+		links := a.cfg.Net.Links()
+		a.hops = make(map[scadanet.LinkID]hopJudgement, len(links))
+		for _, l := range links {
+			protoOK, cryptoOK := a.cfg.Net.HopPairing(l)
+			a.hops[l.ID] = hopJudgement{
+				protoOK:  protoOK,
+				cryptoOK: cryptoOK,
+				secOK:    a.cfg.Net.HopCaps(l, a.policy).Has(secpolicy.Authenticates | secpolicy.IntegrityProtects),
+			}
+		}
+	}
+	return a.hops
 }
 
 // deliveredTerms returns D_Z / S_Z by 1-based measurement index:

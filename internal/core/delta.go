@@ -10,7 +10,6 @@ import (
 	"scadaver/internal/obs"
 	"scadaver/internal/sat"
 	"scadaver/internal/scadanet"
-	"scadaver/internal/secpolicy"
 )
 
 // The delta-aware encoding cache (DESIGN.md §16). In delta mode every
@@ -167,6 +166,7 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 	// cardinality over healthy links when the probe has a link budget
 	// (healthy links are then free and belong to the card group).
 	var healthy []scadanet.LinkID
+	hops := a.hopJudgements()
 	for _, l := range a.cfg.Net.Links() {
 		lid := l.ID
 		linkName := []string{fmt.Sprintf("Link_%d", lid)}
@@ -191,19 +191,17 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 		// authentication/integrity) judgements. The signature is over the
 		// judged booleans, so a key rotation that does not flip any
 		// judgement reuses the group — which is semantically exact.
-		protoOK, cryptoOK := a.cfg.Net.HopPairing(l)
-		secOK := false
+		h := hops[lid]
+		secOK := secured && h.secOK
 		named := []string{fmt.Sprintf("Pair_%d", lid)}
 		if secured {
-			caps := a.cfg.Net.HopCaps(l, a.policy)
-			secOK = caps.Has(secpolicy.Authenticates | secpolicy.IntegrityProtects)
 			named = append(named, fmt.Sprintf("Sec_%d", lid))
 		}
 		specs[fmt.Sprintf("pair:%d", lid)] = groupSpec{
-			sig:   fmt.Sprintf("p%t|c%t|s%t", protoOK, cryptoOK, secOK),
+			sig:   fmt.Sprintf("p%t|c%t|s%t", h.protoOK, h.cryptoOK, secOK),
 			named: named,
 			form: func() *logic.Formula {
-				f := logic.Iff(pairVar(lid), logic.Const(protoOK && cryptoOK))
+				f := logic.Iff(pairVar(lid), logic.Const(h.paired()))
 				if secured {
 					f = logic.And(f, logic.Iff(secVar(lid), logic.Const(secOK)))
 				}

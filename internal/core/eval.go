@@ -2,7 +2,6 @@ package core
 
 import (
 	"scadaver/internal/scadanet"
-	"scadaver/internal/secpolicy"
 )
 
 // This file provides a direct (non-SAT) evaluator of the modeled
@@ -35,16 +34,15 @@ func (a *Analyzer) DeliveredMeasurements(down map[scadanet.DeviceID]bool, secure
 // statically down nor failed, both pairings hold and, if secured, the
 // hop authenticates and protects integrity.
 func (a *Analyzer) DeliveredMeasurementsUnder(f Failures, secured bool) map[int]bool {
+	hops := a.hopJudgements()
 	reach := a.cfg.Net.ReachMTU(
 		func(d *scadanet.Device) bool { return !d.FieldDevice() || !d.Down && !f.Devices[d.ID] },
 		func(l *scadanet.Link) bool {
 			if l.Down || f.Links[l.ID] {
 				return false
 			}
-			if protoOK, cryptoOK := a.cfg.Net.HopPairing(l); !protoOK || !cryptoOK {
-				return false
-			}
-			return !secured || a.cfg.Net.HopCaps(l, a.policy).Has(secpolicy.Authenticates|secpolicy.IntegrityProtects)
+			h := hops[l.ID]
+			return h.paired() && (!secured || h.secOK)
 		})
 	out := make(map[int]bool)
 	for _, d := range a.fieldIEDs {

@@ -15,7 +15,9 @@ import (
 // simple path enumerated without a cap): on the IEEE-14 pools — the two
 // sparse campaign seeds and the ten dense-mesh seeds — and the sixteen
 // IEEE-57 campaign seeds, every k-sweep verdict of a presimplified,
-// cached Runner must equal the path encoding's.
+// cached Runner must equal the path encoding's. The IEEE-57 pool takes
+// minutes under -race, so -race skips it as -short does; a plain go
+// test runs it.
 func TestPathReferenceMatchesReachNet(t *testing.T) {
 	type pool struct {
 		bus       *powergrid.BusSystem
@@ -30,7 +32,7 @@ func TestPathReferenceMatchesReachNet(t *testing.T) {
 		{powergrid.IEEE57(), 57007, 16, 0, 4},
 	}
 	for _, p := range pools {
-		if testing.Short() && p.bus.Name != "ieee14" {
+		if (testing.Short() || raceEnabled) && p.bus.Name != "ieee14" {
 			continue
 		}
 		queries := experiments.SweepQueries(p.maxK)

@@ -49,13 +49,6 @@ type Options struct {
 	MaxHierarchy int
 	// Percents restricts the Fig7a density sweep (default 50..100 by 10).
 	Percents []float64
-	// MaxK bounds the BenchRecord k-sweep campaigns (default 4).
-	MaxK int
-	// BoundaryOnly lists systems BenchRecord records with the boundary
-	// campaign only, skipping the k-sweep — large instances whose
-	// boundary search is affordable but whose full sweep is not.
-	// Defaults to ieee118 when Systems is also defaulted.
-	BoundaryOnly []string
 
 	// Trace, when set, is the parent span under which every campaign
 	// verification records its query/phase spans (see internal/obs).
@@ -130,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Percents) == 0 {
 		o.Percents = []float64{50, 60, 70, 80, 90, 100}
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 4
 	}
 	if o.Cache == nil {
 		o.Cache = core.NewEncodingCache()
@@ -566,18 +556,12 @@ func SweepQueries(maxK int) []core.Query {
 	return qs
 }
 
-// KSweep runs the k-sweep campaign (k = 0..maxK) over a synthetic SCADA
-// configuration of the named bus system on a pool of `workers`
-// verification goroutines (<= 0 selects GOMAXPROCS). Verdicts and
-// vectors are identical for every pool size; only Elapsed changes.
+// KSweepCampaign runs the k-sweep campaign (k = 0..maxK) over a
+// synthetic SCADA configuration of the named bus system on a pool of
+// `workers` verification goroutines (<= 0 selects GOMAXPROCS). Verdicts
+// and vectors are identical for every pool size; only Elapsed changes.
 // Extra analyzer options (core.WithTrace, core.WithMetrics, ...) are
-// threaded into every worker.
-func KSweep(busName string, maxK, workers int, opts ...core.Option) (*SweepResult, error) {
-	return KSweepCampaign(busName, maxK, workers, "", false, opts...)
-}
-
-// KSweepCampaign is KSweep with the fault-tolerance controls of a
-// long-running campaign. With keepGoing, per-query failures (worker
+// threaded into every worker. With keepGoing, per-query failures (worker
 // panics included) are isolated into SweepResult.Errors instead of
 // aborting the sweep. With a non-empty checkpointPath, finished results
 // stream to a resumable checkpoint bound to the campaign's fingerprint
@@ -599,6 +583,9 @@ func KSweepCampaign(busName string, maxK, workers int, checkpointPath string, ke
 	if err != nil {
 		return nil, err
 	}
+	// The workers share one encoding cache, so each snapshot is built
+	// once; a core.WithEncodingCache among opts replaces it.
+	opts = append([]core.Option{core.WithEncodingCache(core.NewEncodingCache())}, opts...)
 	r := core.NewRunner(workers, opts...)
 	queries := SweepQueries(maxK)
 

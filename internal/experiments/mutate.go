@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scadaver/internal/core"
-	"scadaver/internal/obs"
 	"scadaver/internal/powergrid"
 	"scadaver/internal/scadanet"
 	"scadaver/internal/synth"
@@ -28,9 +27,6 @@ type MutationStormResult struct {
 	Incremental time.Duration // total incremental re-verify wall (cache evolve + solve)
 	Cold        time.Duration // total cold re-verify wall (re-encode + solve)
 	Stats       core.MutationStats
-
-	// Per-leg metrics registries, for BenchRecord's per-figure rows.
-	IncReg, ColdReg *obs.Registry
 }
 
 // Speedup is cold wall over incremental wall.
@@ -74,22 +70,19 @@ func MutationStorm(busName string, steps int, opt Options) (*MutationStormResult
 	// encoding overhead.
 	q := core.Query{Property: core.Observability, Combined: true, K: 3}
 
-	res := &MutationStormResult{
-		System: busName, Steps: steps, Query: q,
-		IncReg: obs.NewRegistry(), ColdReg: obs.NewRegistry(),
-	}
-	cache := core.NewEncodingCache(core.CacheWithDelta(), core.CacheWithMetrics(res.IncReg))
+	res := &MutationStormResult{System: busName, Steps: steps, Query: q}
+	// Both legs and the delta cache record into the caller's metrics
+	// registry, if any.
+	cache := core.NewEncodingCache(core.CacheWithDelta(), core.CacheWithMetrics(opt.Metrics))
 
 	incOpt := opt
 	incOpt.Cache = cache
-	incOpt.Metrics = res.IncReg
 	incOpts := incOpt.CoreOptions()
 
 	// Without a cache option every cold analyzer gets a private cache,
 	// so each step encodes the mutated structure from scratch.
 	coldOpt := opt
 	coldOpt.Cache = nil
-	coldOpt.Metrics = res.ColdReg
 	coldOpts := coldOpt.CoreOptions()
 
 	// Warm the incremental leg's cache on the pre-storm structure (not
