@@ -463,8 +463,8 @@ func validateQuery(q Query) error {
 // certifies the specification.
 //
 // Every query takes the same path: clone the cached structural snapshot
-// for the query's property, R and KL, then put the failure budget on
-// the private clone and solve. The snapshot and its clone are
+// for the query's snapshot key (snapshotKeyOf), then put the failure
+// budget on the private clone and solve. The snapshot and its clone are
 // deterministic, so a query's verdict and witness do not depend on which
 // analyzer, worker or sweep asks it.
 //

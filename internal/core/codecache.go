@@ -22,7 +22,7 @@ import (
 // checkpoint fingerprint, so bump it whenever the emitted clauses change
 // meaning: stale snapshots and resumed enumerations are then rejected
 // instead of silently mixed with the new encoding.
-const EncodingVersion = 3
+const EncodingVersion = 4
 
 // WithPresimplify enables CNF preprocessing before search: after a
 // query's constraints are encoded, the solver runs unit propagation to
@@ -300,18 +300,34 @@ func (c *EncodingCache) recordMutation(ms MutationStats) {
 	c.reg.Add("scadaver_carried_learnts_total", nil, float64(ms.CarriedLearnts))
 }
 
-// snapshotKey is the part of a query a snapshot depends on, the
-// per-query fields encodingKey covers.
+// snapshotKey is the part of a query a snapshot depends on: the fields
+// encodeStructure and violationFormula consult.
 type snapshotKey struct {
 	property Property
 	r, kl    int
 }
 
+// snapshotKeyOf returns q's snapshot key. Only bad-data detectability's
+// violation reads R, so the other properties key with R = 0 and share
+// one snapshot across every R.
+func snapshotKeyOf(q Query) snapshotKey {
+	k := snapshotKey{q.Property, q.R, q.KL}
+	if q.Property != BadDataDetectability {
+		k.r = 0
+	}
+	return k
+}
+
+// probe is the canonical query a snapshot with key k is encoded for:
+// no failure budget, so one snapshot visibly serves every budget.
+func (k snapshotKey) probe() Query {
+	return Query{Property: k.property, Combined: true, R: k.r, KL: k.kl}
+}
+
 // encodingKey derives the cache key for q's structural encoding. The
 // configuration/policy fingerprint is computed once per
-// analyzer; the per-query suffix covers exactly the fields
-// encodeStructure and violationFormula consult (property, R, KL) plus
-// the preprocessing mode and encoding version. Certified snapshots
+// analyzer; the per-query suffix covers q's snapshot key plus the
+// preprocessing mode and encoding version. Certified snapshots
 // (cert) are keyed apart, so uncertified analyzers sharing the cache
 // never pay for proof logging.
 func (a *Analyzer) encodingKey(q Query, cert bool) (string, error) {
@@ -319,8 +335,9 @@ func (a *Analyzer) encodingKey(q Query, cert bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	sk := snapshotKeyOf(q)
 	key := fmt.Sprintf("%s|v%d|prop%d|r%d|kl%d|simp%t",
-		fp, EncodingVersion, q.Property, q.R, q.KL, a.presimplify)
+		fp, EncodingVersion, sk.property, sk.r, sk.kl, a.presimplify)
 	if cert {
 		key += "|cert"
 	}
@@ -389,8 +406,7 @@ func (a *Analyzer) snapshot(q Query, budget *logic.Formula, cert bool, build *ob
 			// sealed snapshot (see delta.go). Logically equivalent to the
 			// monolithic encoding over the named variables, but evolvable
 			// under EncodingCache.Mutate.
-			probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
-			st := a.buildDeltaState(probe, build, qs)
+			st := a.buildDeltaState(snapshotKeyOf(q).probe(), build, qs)
 			e.pre = st.sealed.Solver().Stats()
 			e.enc = st.sealed
 			e.harvestMax = st.sealedVars
@@ -423,7 +439,7 @@ func (a *Analyzer) snapshot(q Query, budget *logic.Formula, cert bool, build *ob
 // its snapshots with it, and a certified query whose snapshot shares no
 // prelude encodes a private copy with it (see forkCertify).
 func (a *Analyzer) encodeSnapshot(q Query, proof sat.ProofWriter, build *obs.Span, qs *obs.QueryState) *logic.Encoder {
-	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
+	probe := snapshotKeyOf(q).probe()
 	enc, delivered := a.encodeStructure(probe, proof)
 	enc.Assert(a.violationFormula(probe, delivered))
 	if a.presimplify {

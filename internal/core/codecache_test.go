@@ -231,6 +231,35 @@ func TestEncodingCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeyIgnoresUnreadR: only bad-data detectability's
+// violation reads R, so observability queries with different R share
+// one snapshot, while bad-data detectability keeps one per R.
+func TestSnapshotKeyIgnoresUnreadR(t *testing.T) {
+	cfg := synthConfig(t, powergrid.IEEE14(), 7, 2)
+	for _, tc := range []struct {
+		property Property
+		rs       []int
+		want     int
+	}{
+		{Observability, []int{0, 3}, 1},
+		{BadDataDetectability, []int{1, 2}, 2},
+	} {
+		cache := NewEncodingCache()
+		a, err := NewAnalyzer(cfg, WithEncodingCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tc.rs {
+			if _, err := a.Verify(Query{Property: tc.property, Combined: true, K: 1, R: r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cache.Len(); got != tc.want {
+			t.Errorf("%v with R %v: %d cache entries, want %d", tc.property, tc.rs, got, tc.want)
+		}
+	}
+}
+
 // TestCacheRunnerEquivalence: a parallel campaign over a shared cache
 // reproduces, index by index, the cold reference's statuses on
 // the repo's standard campaign query mix.

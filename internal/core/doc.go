@@ -34,14 +34,15 @@
 //     failed devices, either one combined budget k or separate IED (k1)
 //     and RTU (k2) budgets. Like every cardinality atom the analyzer
 //     asserts or assumes, it occurs only positively and is encoded by
-//     logic.Encoder.Implying as a one-sided sequential counter.
+//     logic.Encoder.Implying as a one-sided totalizer.
 //
 // # Pipeline
 //
 // Every query takes one path. The structure — configuration
 // constraints, delivery definitions and the negated property — is
-// Tseitin-encoded (package logic) once per (configuration, property, R,
-// KL) into a snapshot of the CDCL solver (package sat), held in an
+// Tseitin-encoded (package logic) once per configuration and snapshot
+// key (property, KL and, for bad-data detectability alone, R) into a
+// snapshot of the CDCL solver (package sat), held in an
 // EncodingCache and, under WithPresimplify, simplified with the decision
 // variables frozen. A Verify call clones that snapshot, puts the
 // failure budget on the private clone, solves, and decodes a model into

@@ -27,7 +27,7 @@ func (a *Analyzer) SnapshotEncoder(q Query) (*logic.Encoder, error) {
 // built from — structure plus negated property, no failure budget —
 // before any preprocessing.
 func (a *Analyzer) StructureEncoder(q Query) *logic.Encoder {
-	probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
+	probe := snapshotKeyOf(q).probe()
 	enc, delivered := a.encodeStructure(probe, nil)
 	enc.Assert(a.violationFormula(probe, delivered))
 	return enc
@@ -100,7 +100,7 @@ func (a *Analyzer) ColdVerify(q Query) *Result {
 // every simple path from the IED to the MTU, enumerated without a cap,
 // each path the conjunction of its hops' Link, Pair (and, secured, Sec)
 // terms and its field devices' Node terms. One encoding per structure
-// (property, R, KL) is built from scratch, never simplified, and the
+// (snapshotKeyOf) is built from scratch, never simplified, and the
 // queries on it solve their budgets as assumptions, one after another
 // on the same solver (a budget's clauses only bind under its own
 // assumption literal, so they constrain no later query). It returns
@@ -112,11 +112,10 @@ func (a *Analyzer) PathVerify(qs []Query) ([]sat.Status, int) {
 	out := make([]sat.Status, len(qs))
 	total := 0
 	for i, q := range qs {
-		key := snapshotKey{q.Property, q.R, q.KL}
+		key := snapshotKeyOf(q)
 		if encs[key] == nil {
-			probe := Query{Property: q.Property, Combined: true, R: q.R, KL: q.KL}
 			var n int
-			encs[key], n = a.pathEncoding(probe)
+			encs[key], n = a.pathEncoding(key.probe())
 			total = max(total, n)
 		}
 		out[i] = encs[key].Solve(a.budgetFormula(q))

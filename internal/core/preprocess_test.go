@@ -93,7 +93,7 @@ func sweepSnapshotDigests(t *testing.T, bus *powergrid.BusSystem, seed int64, di
 // structure the k-sweep campaign uses (observability, secured
 // observability, bad-data detectability with r = 1) on one IEEE-14 and
 // one IEEE-57 configuration. The digests were recorded for
-// EncodingVersion 3 (delivery over a shared reach net); an encoding or
+// EncodingVersion 4 (one-sided totalizers); an encoding or
 // preprocessing change that alters the emitted formula must fail here
 // and bump EncodingVersion. A preprocessing change that keeps the CNF
 // (TestSnapshotCNFGolden) can still move the saved phases, and with
@@ -105,14 +105,14 @@ func TestSnapshotSimplifyGolden(t *testing.T) {
 		want map[string]string // encoding key suffix → digest
 	}{
 		{powergrid.IEEE14(), 14007, map[string]string{
-			"observability/r0":          "dd67b29c48ef7943",
-			"secured-observability/r0":  "de6de287da221548",
-			"bad-data-detectability/r1": "dc03c4e612997fc4",
+			"observability/r0":          "7032eb19233ee6d1",
+			"secured-observability/r0":  "e28456eab55be1ca",
+			"bad-data-detectability/r1": "4b0717e2a58a8c38",
 		}},
 		{powergrid.IEEE57(), 57007, map[string]string{
-			"observability/r0":          "6fe6565efc86a692",
-			"secured-observability/r0":  "3fbb4d1b5333e17e",
-			"bad-data-detectability/r1": "71f0505501b1b6dd",
+			"observability/r0":          "2a0fc68e172738cb",
+			"secured-observability/r0":  "a81e5aee7d2cd216",
+			"bad-data-detectability/r1": "354ca481b64c1f64",
 		}},
 	}
 	for _, tc := range cases {
@@ -139,19 +139,19 @@ func TestSnapshotCNFGolden(t *testing.T) {
 		want map[string]string // encoding key suffix → digest
 	}{
 		{powergrid.IEEE14(), 14007, map[string]string{
-			"observability/r0":          "4874f45b54816cee",
-			"secured-observability/r0":  "38c0ab96c7fb1ee9",
-			"bad-data-detectability/r1": "e8503f76e99fbb74",
+			"observability/r0":          "787c52f4e3fe83c1",
+			"secured-observability/r0":  "ca5a66facb159ed6",
+			"bad-data-detectability/r1": "1c266a4aa2b74835",
 		}},
 		{powergrid.IEEE57(), 57007, map[string]string{
-			"observability/r0":          "2f28c680935be843",
-			"secured-observability/r0":  "4a179ad86c4bb089",
-			"bad-data-detectability/r1": "f11b5749bc3d45e2",
+			"observability/r0":          "207a90647e22bf67",
+			"secured-observability/r0":  "75311971d5b8ac1e",
+			"bad-data-detectability/r1": "e6c9704b16ebe2a6",
 		}},
 		{powergrid.IEEE57(), 57009, map[string]string{
-			"observability/r0":          "1fa62c162dce29c7",
-			"secured-observability/r0":  "ffca9e07a8003e72",
-			"bad-data-detectability/r1": "635cf5f1273efef2",
+			"observability/r0":          "a777531cbf51d63c",
+			"secured-observability/r0":  "c9cabb095a4b29b1",
+			"bad-data-detectability/r1": "c62057857c0db05a",
 		}},
 	}
 	for _, tc := range cases {
@@ -238,6 +238,39 @@ func benchmarkSimplify(b *testing.B, seed int64) {
 			b.Fatal("snapshot refuted by preprocessing")
 		}
 	}
+}
+
+// BenchmarkObservabilitySnapshotIEEE118 times what building the
+// IEEE-118 (seed 118000) observability snapshot costs the encoder and
+// preprocessing layers: each iteration encodes the structure and the
+// negated property, as the cache builds it, and runs Simplify on it. It
+// reports the encoding's variables and clauses before Simplify, per
+// op: the unique-measurement count's cardinality encoding carries most
+// of both.
+func BenchmarkObservabilitySnapshotIEEE118(b *testing.B) {
+	cfg, err := synth.Generate(synth.Params{Bus: powergrid.IEEE118(), Seed: 118000, Hierarchy: 2, SecureFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(cfg, core.WithPresimplify(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := core.Query{Property: core.Observability, Combined: true}
+	var vars, clauses int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc := a.StructureEncoder(q)
+		vars += enc.Solver().NumVars()
+		clauses += enc.Solver().Stats().Clauses
+		if !enc.Simplify() {
+			b.Fatal("snapshot refuted by preprocessing")
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(vars)/n, "vars/op")
+	b.ReportMetric(float64(clauses)/n, "clauses/op")
 }
 
 // BenchmarkCloneIEEE57 times the per-query copy of a shared snapshot:

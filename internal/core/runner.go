@@ -156,7 +156,7 @@ func (r *Runner) VerifyAll(ctx context.Context, cfg *scadanet.Config, queries []
 
 // dispatchOrder is the order in which a campaign hands queries to its
 // workers: the first pending query of every snapshot (one per
-// property, R and KL, the structural fields encodingKey covers) goes
+// snapshotKeyOf, the structural fields encodingKey covers) goes
 // first, in input order, and the rest follow in input order. A query whose snapshot another
 // worker is still building waits for that build, so leading with one
 // query per snapshot lets the workers build distinct snapshots side by
@@ -169,7 +169,7 @@ func dispatchOrder(queries []Query, done []bool) []int {
 	seen := make(map[snapshotKey]bool)
 	lead := make([]bool, len(queries))
 	for i, q := range queries {
-		g := snapshotKey{q.Property, q.R, q.KL}
+		g := snapshotKeyOf(q)
 		if (done == nil || !done[i]) && !seen[g] {
 			seen[g] = true
 			lead[i] = true
@@ -357,6 +357,12 @@ func (r *Runner) runEach(ctx context.Context, order []int, newTask func(ctx cont
 
 dispatch:
 	for _, i := range order {
+		// A select with both cases ready picks one at random, so a
+		// cancelled context is checked before each send, not only
+		// raced against it.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case jobs <- i:
 		case <-ctx.Done():

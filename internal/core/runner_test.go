@@ -133,18 +133,25 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
-// TestRunnerPreCancelled asserts a cancelled context does no work.
+// TestRunnerPreCancelled asserts a cancelled context does no work. A
+// dispatch that only races the cancellation against the send hands a
+// job to a worker that already waits on the job channel, so the
+// campaign runs one worker per query (the early workers are ready
+// while the later ones start) and is repeated.
 func TestRunnerPreCancelled(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 1, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := NewRunner(2).VerifyAll(ctx, cfg, campaignQueries(1))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	for i, res := range results {
-		if res != nil {
-			t.Fatalf("query %d ran despite pre-cancelled context", i)
+	queries := campaignQueries(15)
+	for run := 0; run < 200; run++ {
+		results, err := NewRunner(len(queries)).VerifyAll(ctx, cfg, queries)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v", run, err)
+		}
+		for i, res := range results {
+			if res != nil {
+				t.Fatalf("run %d: query %d ran despite pre-cancelled context", run, i)
+			}
 		}
 	}
 }
@@ -193,7 +200,7 @@ func TestRunnerRunEach(t *testing.T) {
 }
 
 // TestDispatchOrderLeadsWithSnapshots: a campaign dispatches the first
-// pending query of every snapshot (property, R, KL) before any other,
+// pending query of every snapshot (snapshotKeyOf) before any other,
 // then the rest in input order.
 func TestDispatchOrderLeadsWithSnapshots(t *testing.T) {
 	obs0 := Query{Property: Observability, Combined: true, K: 0}

@@ -12,7 +12,7 @@ import (
 // (biconditional) Tseitin transformation with biconditional sequential
 // counters for cardinality atoms. Implying encodes a formula in a
 // positive context: cardinality atoms that occur only under And/Or get
-// Sinz's one-sided counter, which constrains the count from above only.
+// a one-sided totalizer, which constrains the count from above only.
 // Assert, AssertGuarded and Solve's assumptions go through Implying. It
 // supports incremental use: Assert adds constraints, Solve can be called
 // repeatedly, and further Asserts (e.g. blocking clauses during
@@ -267,9 +267,9 @@ func (e *Encoder) atLeastLit(lits []sat.Lit, k int) sat.Lit {
 // Implying encodes f in a positive context: it returns a literal p
 // such that p implies f in every model of the emitted clauses, and every
 // assignment of the named variables that satisfies f extends to a model
-// with p true. A cardinality atom gets Sinz's one-sided sequential
-// counter (atMostImplying) — one variable and at most three clauses per
-// cell, no gates — and an And/Or node above such an atom gets the usual
+// with p true. A cardinality atom gets a one-sided totalizer
+// (atMostImplying) — clauses of at most three literals, no gates — and
+// an And/Or node above such an atom gets the usual
 // biconditional gate over its kids' Implying literals. Every other
 // formula, Not included, falls back to Lit, so a negated occurrence of
 // an atom still gets the exact counter. The one-sided literals have
@@ -316,16 +316,14 @@ func (e *Encoder) impliedKidLits(f *Formula) []sat.Lit {
 }
 
 // atMostImplying returns a literal p with p → "at most k of lits are
-// true", using Sinz's one-sided sequential counter (CP 2005): cell s[j]
-// after step i is forced true when at least j+1 of the first i+1
-// literals are, but nothing forces it false, and an overflow clause
-// ¬x ∨ ¬s[k-1] ∨ ¬p forbids a (k+1)-th true literal while p holds.
-// Setting every cell to the exact prefix count satisfies all clauses
-// with p true whenever the count is within k, so p can always be set to
-// the atom's truth value. Only cells that can still reach the overflow
-// are materialized: none after the last literal, none counting past the
-// prefix length or past k, and none too low for the remaining literals
-// to lift past k.
+// true", using a one-sided totalizer (Bailleux & Boufkhad, CP 2003)
+// with output-capped nodes: a balanced binary tree over the literals in
+// operand order whose node outputs o_1…o_m, m = min(size, k+1), are
+// forced true when at least s of the node's literals are (totalize),
+// but nothing forces them false. The root adds ¬o_{k+1} ∨ ¬p. Setting
+// every output to the exact (capped) count satisfies all clauses with p
+// true whenever the count is within k, so p can always be set to the
+// atom's truth value. k = 0 needs no tree: ¬x ∨ ¬p for every literal.
 func (e *Encoder) atMostImplying(lits []sat.Lit, k int) sat.Lit {
 	n := len(lits)
 	if k >= n {
@@ -335,39 +333,47 @@ func (e *Encoder) atMostImplying(lits []sat.Lit, k int) sat.Lit {
 		return e.constTrue().Neg()
 	}
 	p := e.fresh()
-	// prev[j] ← at least j+1 of the literals seen so far are true.
-	var prev []sat.Lit
-	for i, x := range lits {
-		switch {
-		case k == 0:
+	if k == 0 {
+		for _, x := range lits {
 			e.mustAdd(x.Neg(), p.Neg())
-		case len(prev) == k:
-			e.mustAdd(x.Neg(), prev[k-1].Neg(), p.Neg())
 		}
-		if i == n-1 || k == 0 {
-			continue
-		}
-		cur := make([]sat.Lit, min(i+1, k))
-		for j := range cur {
-			if j+n-1-i < k {
-				// Even with every later literal true, this count
-				// could not reach k+1: nothing reads the cell.
-				cur[j] = sat.LitUndef
-				continue
-			}
-			cur[j] = e.fresh()
-			if j == 0 {
-				e.mustAdd(x.Neg(), cur[j])
-			} else {
-				e.mustAdd(x.Neg(), prev[j-1].Neg(), cur[j])
-			}
-			if j < len(prev) {
-				e.mustAdd(prev[j].Neg(), cur[j])
-			}
-		}
-		prev = cur
+		return p
 	}
+	out := e.totalize(lits, k+1)
+	e.mustAdd(out[k].Neg(), p.Neg())
 	return p
+}
+
+// totalize returns the outputs of a one-sided totalizer node over lits
+// capped at m: out[s-1] is forced true when at least s of lits are
+// true, for s ≤ min(len(lits), m). A single literal is its own output.
+// Otherwise each sum i+j = s of the halves' outputs a_i, b_j adds
+// ¬a_i ∨ ¬b_j ∨ o_s, where a term with i = 0 or j = 0 drops its
+// literal.
+func (e *Encoder) totalize(lits []sat.Lit, m int) []sat.Lit {
+	if len(lits) == 1 {
+		return lits
+	}
+	half := len(lits) / 2
+	a, b := e.totalize(lits[:half], m), e.totalize(lits[half:], m)
+	out := make([]sat.Lit, min(len(lits), m))
+	for s := range out {
+		out[s] = e.fresh()
+	}
+	cl := make([]sat.Lit, 0, 3)
+	for i := 0; i <= len(a); i++ {
+		for j := max(0, 1-i); j <= len(b) && i+j <= len(out); j++ {
+			cl = cl[:0]
+			if i > 0 {
+				cl = append(cl, a[i-1].Neg())
+			}
+			if j > 0 {
+				cl = append(cl, b[j-1].Neg())
+			}
+			e.mustAdd(append(cl, out[i+j-1])...)
+		}
+	}
+	return out
 }
 
 // implyingRoom counts what Implying(f) adds to e: the variables and
@@ -415,27 +421,32 @@ func (e *Encoder) implyingRoom(f *Formula) sat.Room {
 }
 
 // atMostRoom is what atMostImplying adds for n literals and bound k:
-// the output p; one variable per materialized cell, defined by one
-// clause from the literal and one from the cell before it when that
-// exists; and one overflow clause for each literal from the (k+1)-th
-// on (every literal when k = 0). The cells after literal i (0-based,
-// i < n−1) are those j with k−(n−1−i) <= j < min(i+1, k); the counter
-// before literal i has min(i, k) cells.
+// the output p and, for k = 0, one clause per literal; otherwise the
+// totalizer's nodes (totalizeRoom) and the root's overflow clause.
 func atMostRoom(n, k int) sat.Room {
 	if k < 0 || k >= n {
 		return sat.Room{Vars: 1, Clauses: 1} // at most the constant
 	}
-	r := sat.Room{Vars: 1, Clauses: n - k}
 	if k == 0 {
-		return r
+		return sat.Room{Vars: 1, Clauses: n}
 	}
-	for i := 0; i < n-1; i++ {
-		lo, hi := max(0, k-(n-1-i)), min(i+1, k)
-		if hi <= lo {
-			continue
-		}
-		r.Vars += hi - lo
-		r.Clauses += hi - lo + max(0, min(hi, i)-lo)
+	r := totalizeRoom(n, k+1)
+	return sat.Room{Vars: r.Vars + 1, Clauses: r.Clauses + 1}
+}
+
+// totalizeRoom is what totalize adds over n literals capped at m: a
+// node over n > 1 literals has out = min(n, m) output variables and
+// one clause per sum i+j = s with 1 ≤ s ≤ out of its halves' output
+// counts i ≤ min(n/2, m) and j ≤ min(n−n/2, m).
+func totalizeRoom(n, m int) sat.Room {
+	if n == 1 {
+		return sat.Room{}
+	}
+	ra, rb := totalizeRoom(n/2, m), totalizeRoom(n-n/2, m)
+	na, nb, out := min(n/2, m), min(n-n/2, m), min(n, m)
+	r := sat.Room{Vars: ra.Vars + rb.Vars + out, Clauses: ra.Clauses + rb.Clauses}
+	for i := 0; i <= na; i++ {
+		r.Clauses += max(0, min(nb, out-i)-max(0, 1-i)+1)
 	}
 	return r
 }

@@ -5,7 +5,7 @@
 // constraints (failure budgets, unique-measurement counts, per-state
 // measurement multiplicities). Asserted and assumed formulas are encoded
 // in a positive context, where a cardinality atom that occurs only under
-// And/Or gets Sinz's one-sided counter instead of the exact one.
+// And/Or gets a one-sided totalizer instead of the exact counter.
 //
 // This plays the role of the paper's "SMT logics" (Boolean and integer
 // terms): all integer terms in the model are cardinalities of Boolean

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -138,11 +139,14 @@ func TestImplyingAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestImplyingCounterSize pins the one-sided counter's cost against the
-// exact one on an atom too wide for either to be trivial: asserting
-// AtMost(k) spends one output variable plus one variable and at most
-// three clauses per counter cell, while the same atom under Not still
-// gets the biconditional counter's two gates per cell.
+// TestImplyingCounterSize pins the one-sided totalizer's cost against
+// the exact counter on an atom too wide for either to be trivial.
+// Asserting AtMost(4) of 12 builds the tree 12 → 6+6 → 3+3 → 1+2 →
+// 1+1 with outputs capped at k+1 = 5: 2, 3, 5 and 5 variables and 3,
+// 5, 14 and 20 clauses per node (one per sum i+j ≤ 5 of the halves'
+// output counts), so 35 variables and 80 clauses, plus the output p
+// and the root's overflow clause. The same atom under Not still gets
+// the biconditional counter's two gates per cell.
 func TestImplyingCounterSize(t *testing.T) {
 	const n, k = 12, 4
 	xs := make([]*Formula, n)
@@ -158,12 +162,56 @@ func TestImplyingCounterSize(t *testing.T) {
 		e.Assert(f)
 		return e.Solver().NumVars() - v0, e.Solver().Stats().Clauses - c0
 	}
-	oneVars, oneClauses := cost(AtMost(k, xs...))
-	cells := oneVars - 1
-	if cells <= 0 || cells > (n-1)*k || oneClauses > 3*cells+1 {
-		t.Fatalf("one-sided AtMost(%d) of %d: %d vars, %d clauses", k, n, oneVars, oneClauses)
+	if vars, clauses := cost(AtMost(k, xs...)); vars != 36 || clauses != 81 {
+		t.Fatalf("one-sided AtMost(%d) of %d: %d vars, %d clauses, want 36 and 81", k, n, vars, clauses)
 	}
-	if negVars, _ := cost(Not(AtMost(k, xs...))); negVars < 2*cells {
-		t.Fatalf("exact counter under Not: %d vars, want at least %d", negVars, 2*cells)
+	if negVars, _ := cost(Not(AtMost(k, xs...))); negVars < 2*k*(n-k) {
+		t.Fatalf("exact counter under Not: %d vars, want at least %d", negVars, 2*k*(n-k))
+	}
+}
+
+// TestImplyingCounterPropagates: the one-sided counter is propagation
+// complete in the direction a bound is used. For every n ≤ 9, every
+// bound 0 ≤ k < n and every set of k inputs, asserting the atom's
+// literal p and those inputs makes unit propagation at the root
+// (ReduceRoot) set every other input false; any k+1 true inputs are
+// refuted at the root.
+func TestImplyingCounterPropagates(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		xs := make([]*Formula, n)
+		for i := range xs {
+			xs[i] = Vf("x%d", i)
+		}
+		for k := 0; k < n; k++ {
+			for set := 0; set < 1<<n; set++ {
+				ones := bits.OnesCount(uint(set))
+				if ones != k && ones != k+1 {
+					continue
+				}
+				e := NewEncoder()
+				s := e.Solver()
+				e.mustAdd(e.Implying(AtMost(k, xs...)))
+				for i, x := range xs {
+					if set>>i&1 == 1 {
+						e.mustAdd(e.VarLit(x.name))
+					}
+				}
+				ok := s.ReduceRoot()
+				if ones == k+1 {
+					if ok {
+						t.Errorf("n=%d k=%d: inputs %0*b true not refuted at the root", n, k, n, set)
+					}
+					continue
+				}
+				if !ok {
+					t.Fatalf("n=%d k=%d: inputs %0*b true refuted at the root", n, k, n, set)
+				}
+				for i, x := range xs {
+					if set>>i&1 == 0 && e.Value(x.name) != sat.False {
+						t.Errorf("n=%d k=%d: inputs %0*b true leave %s %v at the root", n, k, n, set, x.name, e.Value(x.name))
+					}
+				}
+			}
+		}
 	}
 }
