@@ -45,8 +45,9 @@ func BenchmarkPropagate(b *testing.B) {
 // BenchmarkSolveConflicts measures the conflict-heavy steady state —
 // analyze, clause learning, DB reduction, and the per-conflict scratch
 // buffers — by re-solving a seeded random 3-SAT instance under rotating
-// assumptions. The minimization snapshot buffer is reused across
-// conflicts, so allocs/op here tracks only genuine clause learning.
+// assumptions. The minimization buffers (clause snapshot, chain marks,
+// depth-first stack) are reused across conflicts, so allocs/op here
+// tracks only genuine clause learning.
 func BenchmarkSolveConflicts(b *testing.B) {
 	s := New()
 	rng := rand.New(rand.NewSource(42))

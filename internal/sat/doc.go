@@ -3,10 +3,11 @@
 // verifier.
 //
 // The solver implements the standard modern architecture: two-watched-literal
-// unit propagation, first-UIP conflict analysis with learned-clause
-// minimization, exponential VSIDS variable activities with a binary heap,
-// phase saving, Luby-sequence restarts, LBD-based (glue) learned-clause
-// database reduction, and incremental solving under assumptions.
+// unit propagation, first-UIP conflict analysis with recursive
+// (MiniSat-style) learned-clause minimization, exponential VSIDS
+// variable activities with a binary heap, phase saving, Luby-sequence
+// restarts, LBD-based (glue) learned-clause database reduction, and
+// incremental solving under assumptions.
 //
 // The paper this repository reproduces solves its model with Z3; every
 // constraint in that model is propositional structure plus cardinality

@@ -1,6 +1,9 @@
 package sat
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // Backing returns the backing array of every slice a clone reserves
 // room in, by name, so a test can tell whether adding to the clone
@@ -73,3 +76,39 @@ func referenceProbe(s *Solver, maxProbes int) {
 		}
 	}
 }
+
+// Decide opens a decision level and assigns l on it, as the search
+// does for a branching literal.
+func Decide(s *Solver, l Lit) {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.uncheckedEnqueue(l, 0)
+}
+
+// PropagateAnalyze propagates the pending assignments. On a conflict it
+// runs conflict analysis and returns a copy of the learned clause, the
+// backjump level and true; it leaves the trail as analysis found it.
+func PropagateAnalyze(s *Solver) ([]Lit, int, bool) {
+	conflict := s.propagate()
+	if conflict == 0 {
+		return nil, 0, false
+	}
+	learnt, back := s.analyze(conflict)
+	return slices.Clone(learnt), back, true
+}
+
+// Seen returns the variables whose conflict-analysis mark is set.
+// Between conflicts there must be none.
+func Seen(s *Solver) []Var {
+	var vs []Var
+	for v, on := range s.seen {
+		if on {
+			vs = append(vs, Var(v))
+		}
+	}
+	return vs
+}
+
+// MinimizeMarks returns how many variables the last conflict analysis
+// marked beyond its first-UIP clause: each belongs to a reason chain
+// that proved a clause literal redundant.
+func MinimizeMarks(s *Solver) int { return len(s.minimizeMarks) }

@@ -83,19 +83,27 @@ func checkProbeMatchesReference(t *testing.T, name string, s *sat.Solver, maxPro
 func random3SAT(t testing.TB, rng *rand.Rand, nv, nc int) *sat.Solver {
 	t.Helper()
 	s := sat.New()
+	addRandom3SAT(t, s, rng, nv, nc)
+	return s
+}
+
+// addRandom3SAT adds nv fresh variables and a seeded uniform random
+// 3-SAT formula with nc clauses over them to s.
+func addRandom3SAT(t testing.TB, s *sat.Solver, rng *rand.Rand, nv, nc int) {
+	t.Helper()
+	base := s.NumVars()
 	for i := 0; i < nv; i++ {
 		s.NewVar()
 	}
 	for i := 0; i < nc; i++ {
 		var c [3]sat.Lit
 		for k := range c {
-			c[k] = sat.MkLit(sat.Var(rng.Intn(nv)), rng.Intn(2) == 1)
+			c[k] = sat.MkLit(sat.Var(base+rng.Intn(nv)), rng.Intn(2) == 1)
 		}
 		if err := s.AddClause(c[:]...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s
 }
 
 // TestProbeSkipMatchesFullProbing holds ProbeRoot, which skips probes

@@ -45,9 +45,14 @@ type Solver struct {
 	maxLearned  int
 
 	// Conflict-analysis scratch.
-	seen        []bool
-	analyzeTmp  []Lit
-	minimizeTmp []Lit // reusable snapshot buffer for clause minimization
+	seen       []bool
+	analyzeTmp []Lit
+	// Clause minimization scratch, reused across conflicts: the
+	// first-UIP clause before minimization, the variables litRedundant
+	// marked beyond it, and litRedundant's depth-first stack.
+	minimizeTmp   []Lit
+	minimizeMarks []Lit
+	minimizeStack []Lit
 	// computeLBD marks a decision level as counted by writing the
 	// current lbdStamp into levelStamp[level+1].
 	levelStamp []uint32
@@ -540,23 +545,29 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 	}
 	learnt[0] = p.Neg()
 
-	// Clause minimization: drop literals implied by the rest. Snapshot
-	// the clause first: the in-place compaction below overwrites dropped
-	// literals, and every touched variable must have its seen flag
-	// cleared afterwards. The snapshot buffer is reused across conflicts.
-	toClear := append(s.minimizeTmp[:0], learnt...)
-	s.minimizeTmp = toClear
+	// Recursive clause minimization (MiniSat's, Sörensson & Biere 2009):
+	// drop a literal whose reason chain ends in literals of the clause
+	// or at level 0. Snapshot the clause first: the in-place compaction
+	// below overwrites dropped literals, and every seen flag, the
+	// clause's own and those litRedundant left, is cleared afterwards.
+	s.minimizeTmp = append(s.minimizeTmp[:0], learnt...)
+	s.minimizeMarks = s.minimizeMarks[:0]
+	var levels uint32
 	for _, l := range learnt[1:] {
-		s.seen[l.Var()] = true
+		levels |= abstractLevel(s.level[l.Var()])
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		if !s.redundant(learnt[i]) {
-			learnt[j] = learnt[i]
+		l := learnt[i]
+		if s.reason[l.Var()] == 0 || !s.litRedundant(l, levels) {
+			learnt[j] = l
 			j++
 		}
 	}
-	for _, l := range toClear {
+	for _, l := range s.minimizeTmp {
+		s.seen[l.Var()] = false
+	}
+	for _, l := range s.minimizeMarks {
 		s.seen[l.Var()] = false
 	}
 	minimized := learnt[:j]
@@ -577,23 +588,45 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int) {
 	return minimized, back
 }
 
-// redundant reports whether literal l in a learned clause is implied by
-// the remaining marked literals (local self-subsumption check: l has a
-// reason all of whose literals are already marked or at level 0).
-func (s *Solver) redundant(l Lit) bool {
-	r := s.reason[l.Var()]
-	if r == 0 {
-		return false
-	}
-	for _, w := range s.ca.lits(r) {
-		q := Lit(w)
-		if q.Var() == l.Var() {
-			continue
+// abstractLevel folds a decision level into one bit of a 32-bit mask,
+// so a set of levels can be tested for membership in one AND. Distinct
+// levels may share a bit; the mask only rules levels out.
+func abstractLevel(level int32) uint32 { return 1 << (level & 31) }
+
+// litRedundant reports whether literal l of a learned clause is implied
+// by the clause's other literals: a depth-first walk of l's reason
+// graph must end in marked (seen) variables and level-0 facts. It
+// follows an implied variable only if its level's bit is in levels (the
+// clause's abstract levels); a decision, an assumption or a level the
+// clause lacks fails the walk. A success leaves the variables it
+// visited marked, and listed in minimizeMarks, so later literals reuse
+// them; a failure unmarks exactly those this call marked.
+func (s *Solver) litRedundant(l Lit, levels uint32) bool {
+	stack := append(s.minimizeStack[:0], l)
+	top := len(s.minimizeMarks)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1].Var()
+		stack = stack[:len(stack)-1]
+		for _, w := range s.ca.lits(s.reason[v]) {
+			q := Lit(w)
+			u := q.Var()
+			if u == v || s.seen[u] || s.level[u] == 0 {
+				continue
+			}
+			if s.reason[u] == 0 || abstractLevel(s.level[u])&levels == 0 {
+				for _, m := range s.minimizeMarks[top:] {
+					s.seen[m.Var()] = false
+				}
+				s.minimizeMarks = s.minimizeMarks[:top]
+				s.minimizeStack = stack
+				return false
+			}
+			s.seen[u] = true
+			stack = append(stack, q)
+			s.minimizeMarks = append(s.minimizeMarks, q)
 		}
-		if s.level[q.Var()] != 0 && !s.seen[q.Var()] {
-			return false
-		}
 	}
+	s.minimizeStack = stack
 	return true
 }
 
